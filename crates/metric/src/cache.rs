@@ -17,7 +17,8 @@
 //!
 //! Slots are `AtomicU64` distance bit patterns (sentinel [`u64::MAX`], a
 //! NaN no validated metric can produce), so a cache shared through `&self`
-//! across the `parallel` feature's worker threads needs no locks: racing
+//! across threads (concurrent sessions on one engine, the serving plane's
+//! workers) needs no locks: racing
 //! writers store identical bits, and relaxed ordering suffices because
 //! the value is determined by the key alone.
 

@@ -10,7 +10,7 @@
 //! survive, to more realistic systematically-biased comparators
 //! ([`ConsistentAdversary`]).
 
-use crate::persistent::{PersistentNoise, SharedComparisonOracle, SharedQuadrupletOracle};
+use crate::persistent::PersistentNoise;
 use crate::{ComparisonOracle, QuadrupletOracle};
 use nco_metric::hashing;
 use nco_metric::Metric;
@@ -260,22 +260,6 @@ impl<A: Adversary> ComparisonOracle for AdversarialValueOracle<A> {
     }
 }
 
-impl<A: SharedAdversary> SharedComparisonOracle for AdversarialValueOracle<A>
-where
-    Self: Sync,
-{
-    #[inline]
-    fn le_shared(&self, i: usize, j: usize) -> bool {
-        let (vi, vj) = (self.values[i], self.values[j]);
-        if !in_band(vi, vj, self.mu) {
-            vi <= vj
-        } else {
-            self.adversary
-                .decide_shared(&[i as u64], &[j as u64], vi, vj)
-        }
-    }
-}
-
 impl<A: SharedAdversary> PersistentNoise for AdversarialValueOracle<A> {}
 
 /// Adversarial-noise quadruplet oracle over a hidden metric (Section 2.2).
@@ -366,26 +350,6 @@ impl<M: Metric, A: Adversary> QuadrupletOracle for AdversarialQuadOracle<M, A> {
                 self.adversary.decide(&k1, &k2, d1, d2)
             };
             out.push(ans);
-        }
-    }
-}
-
-impl<M: Metric, A: SharedAdversary> SharedQuadrupletOracle for AdversarialQuadOracle<M, A>
-where
-    Self: Sync,
-{
-    #[inline]
-    fn le_shared(&self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        let p1 = if a <= b { (a, b) } else { (b, a) };
-        let p2 = if c <= d { (c, d) } else { (d, c) };
-        let d1 = self.metric.dist(p1.0, p1.1);
-        let d2 = self.metric.dist(p2.0, p2.1);
-        if !in_band(d1, d2, self.mu) {
-            d1 <= d2
-        } else {
-            let k1 = [p1.0 as u64, p1.1 as u64];
-            let k2 = [p2.0 as u64, p2.1 as u64];
-            self.adversary.decide_shared(&k1, &k2, d1, d2)
         }
     }
 }

@@ -14,7 +14,7 @@
 //! classifier inherits the crowd's confusion behaviour, only noisier —
 //! see [`AccuracyProfile::degraded`]).
 
-use crate::persistent::{PersistentNoise, SharedComparisonOracle, SharedQuadrupletOracle};
+use crate::persistent::PersistentNoise;
 use crate::{ComparisonOracle, QuadrupletOracle};
 use nco_metric::hashing;
 use nco_metric::Metric;
@@ -176,7 +176,12 @@ impl<M: Metric> QuadrupletOracle for CrowdQuadOracle<M> {
     }
 
     fn le(&mut self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        self.answer(a, b, c, d)
+        let Some((q1, q2, swapped)) = Self::canonical(a, b, c, d) else {
+            return true;
+        };
+        let d1 = self.metric.dist(q1.0, q1.1);
+        let d2 = self.metric.dist(q2.0, q2.1);
+        decide(&self.profile, self.workers, self.seed, q1, q2, d1, d2) ^ swapped
     }
 
     /// Batched committee round: worker draws are simulated across the
@@ -215,12 +220,6 @@ impl<M: Metric> QuadrupletOracle for CrowdQuadOracle<M> {
     }
 }
 
-impl<M: Metric + Sync> SharedQuadrupletOracle for CrowdQuadOracle<M> {
-    fn le_shared(&self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        self.answer(a, b, c, d)
-    }
-}
-
 /// Workers are seeded hashes of the canonical query — a pure function —
 /// so the majority answer is persistent.
 impl<M: Metric> PersistentNoise for CrowdQuadOracle<M> {}
@@ -245,15 +244,6 @@ impl<M: Metric> CrowdQuadOracle<M> {
         let swapped = p1 > p2;
         let (q1, q2) = if swapped { (p2, p1) } else { (p1, p2) };
         Some((q1, q2, swapped))
-    }
-
-    fn answer(&self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        let Some((q1, q2, swapped)) = Self::canonical(a, b, c, d) else {
-            return true;
-        };
-        let d1 = self.metric.dist(q1.0, q1.1);
-        let d2 = self.metric.dist(q2.0, q2.1);
-        decide(&self.profile, self.workers, self.seed, q1, q2, d1, d2) ^ swapped
     }
 }
 
@@ -372,15 +362,6 @@ impl CrowdValueOracle {
                 hashing::bernoulli(self.seed, &[w as u64, a as u64, b as u64], acc)
             })
     }
-
-    fn answer(&self, i: usize, j: usize) -> bool {
-        if i == j {
-            return true;
-        }
-        let swapped = i > j;
-        let (a, b) = if swapped { (j, i) } else { (i, j) };
-        self.decide(a, b) ^ swapped
-    }
 }
 
 impl ComparisonOracle for CrowdValueOracle {
@@ -389,7 +370,12 @@ impl ComparisonOracle for CrowdValueOracle {
     }
 
     fn le(&mut self, i: usize, j: usize) -> bool {
-        self.answer(i, j)
+        if i == j {
+            return true;
+        }
+        let swapped = i > j;
+        let (a, b) = if swapped { (j, i) } else { (i, j) };
+        self.decide(a, b) ^ swapped
     }
 
     /// Batched committee round: each **distinct canonical pair**'s
@@ -416,12 +402,6 @@ impl ComparisonOracle for CrowdValueOracle {
                 .or_insert_with(|| self.decide(a, b));
             out.push(ans ^ swapped);
         }
-    }
-}
-
-impl SharedComparisonOracle for CrowdValueOracle {
-    fn le_shared(&self, i: usize, j: usize) -> bool {
-        self.answer(i, j)
     }
 }
 
@@ -548,7 +528,6 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(o.le(3, 17), a);
             assert_eq!(o.le(17, 3), !a);
-            assert_eq!(o.le_shared(3, 17), a);
         }
         assert!(o.le(5, 5), "self-comparison is a truthful tie");
         // Past the accuracy cliff (ratio 1.45), caltech workers are near
