@@ -180,7 +180,6 @@ mod tests {
         RunReport {
             queries: 0,
             rounds: 0,
-            memo_hits: None,
             cache_entries: None,
             cache_added: None,
             wall: Duration::ZERO,

@@ -20,15 +20,8 @@ pub struct RunReport {
     /// would report.
     pub queries: u64,
     /// Batched oracle rounds issued by the engine — one per `le_batch`
-    /// call; the remaining queries went through the scalar path. The
-    /// count is exact under every configuration: the answer memo forwards
-    /// each outer round as one (deduplicated) inner round, so memoised
-    /// runs report the same rounds as their plain counterparts.
+    /// call; the remaining queries went through the scalar path.
     pub rounds: u64,
-    /// Answer-cache hits when memoisation was enabled (`None` otherwise):
-    /// repeated queries served from the exact memo without touching the
-    /// oracle. These do **not** count into `queries`.
-    pub memo_hits: Option<u64>,
     /// Distinct distances materialised in the engine's shared `DistCache`
     /// by the end of this run (`None` when distance caching is off).
     /// Cumulative across runs sharing the engine, by design: the cache is
@@ -101,7 +94,6 @@ mod tests {
             RunReport {
                 queries: 10,
                 rounds: 2,
-                memo_hits: None,
                 cache_entries: Some(5),
                 cache_added: Some(2),
                 wall: Duration::from_millis(1),

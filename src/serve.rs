@@ -74,23 +74,20 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use nco_core::hier::MergePlaneStats;
 use nco_oracle::budget::{BudgetPool, Budgeted, OVER_BUDGET_ANSWER};
-use nco_oracle::fault::{FaultPlan, FaultyOracle, QueryFault, Retrying};
+use nco_oracle::fault::{FaultPlan, FaultyOracle, QueryFault, RetryPolicy, Retrying};
 use nco_oracle::persistent::PersistentNoise;
-use nco_oracle::{
-    ComparisonOracle, Counting, MemoOracle, NoiseEstimate, ProbeOracle, QuadrupletOracle,
-};
+use nco_oracle::{ComparisonOracle, Counting, MemoOracle, ProbeOracle, QuadrupletOracle};
 
 use crate::error::NcoError;
-use crate::report::{Outcome, RunReport};
-use crate::session::{CancelToken, Session};
+use crate::report::Outcome;
+use crate::session::{Meters, RunCtx, Session};
 use crate::task::{Answer, PartialOutcome, Task};
 
 /// Locks a mutex, recovering from poisoning: a request that panicked
@@ -324,17 +321,27 @@ impl<Q: Copy> Coalescer<Q> {
 // the retry layer masks faults the policy can absorb, and the memo
 // dedups across requests — so a memo hit never spends a retry and a
 // faulted lane is never cached.
-type QuadBackend = MemoOracle<Retrying<Counting<FaultyOracle<BoxedQuad>>>>;
-type CmpBackend = MemoOracle<Retrying<Counting<FaultyOracle<BoxedCmp>>>>;
+type Backend<X> = MemoOracle<Retrying<Counting<FaultyOracle<X>>>>;
+type QuadBackend = Backend<BoxedQuad>;
+type CmpBackend = Backend<BoxedCmp>;
 
-/// The quadruplet-oracle view one request has of the shared plane:
-/// rounds go pool-admission → coalescer → shared memoised backend.
-/// Wrapped in a per-request [`Budgeted`] by the worker, so the request's
-/// own meters tick exactly as in a solo run.
-struct ServedQuad {
+fn shared_backend<X: PersistentNoise>(
+    raw: X,
+    plan: FaultPlan,
+    policy: RetryPolicy,
+) -> Arc<Mutex<Backend<X>>> {
+    let retrying = Retrying::new(Counting::new(FaultyOracle::new(raw, plan)), policy);
+    Arc::new(Mutex::new(MemoOracle::new(retrying)))
+}
+
+/// The oracle view one request has of the shared plane over backend `B`
+/// with round entries `Q`: rounds go pool admission → coalescer → shared
+/// memoised backend. Wrapped in a per-request [`Budgeted`] by the
+/// worker, so the request's own meters tick exactly as in a solo run.
+struct Served<B, Q> {
     n: usize,
-    backend: Arc<Mutex<QuadBackend>>,
-    coalescer: Arc<Coalescer<[usize; 4]>>,
+    backend: Arc<Mutex<B>>,
+    coalescer: Arc<Coalescer<Q>>,
     pool: Arc<BudgetPool>,
     /// Set once the pool refused this request a reservation; from then
     /// on the request is doomed (reported as `BudgetExceeded`) and its
@@ -342,34 +349,58 @@ struct ServedQuad {
     starved: bool,
 }
 
-impl QuadrupletOracle for ServedQuad {
+impl<B, Q: Copy> Served<B, Q> {
+    /// Reserves `queries` from the pool, latching starvation on refusal.
+    fn admit(&mut self, queries: u64) -> bool {
+        if self.starved || !self.pool.try_reserve(queries) {
+            self.starved = true;
+        }
+        !self.starved
+    }
+
+    /// Answers one scalar query; scalar queries skip the coalescer —
+    /// there is nothing to combine them with.
+    fn scalar(&mut self, ask: impl FnOnce(&mut B) -> bool) -> bool {
+        if !self.admit(1) {
+            return OVER_BUDGET_ANSWER;
+        }
+        ask(&mut relock(&self.backend))
+    }
+
+    /// Submits one admitted round to the coalescer, which runs it (with
+    /// any concurrent rounds) as `exec` on the shared backend.
+    fn round(
+        &mut self,
+        queries: &[Q],
+        out: &mut Vec<bool>,
+        exec: fn(&mut B, &[Q], &mut Vec<bool>),
+    ) {
+        if queries.is_empty() {
+            return;
+        }
+        if !self.admit(queries.len() as u64) {
+            out.extend(std::iter::repeat_n(OVER_BUDGET_ANSWER, queries.len()));
+            return;
+        }
+        let backend = &self.backend;
+        out.extend(
+            self.coalescer
+                .submit(queries, &|qs, res| exec(&mut relock(backend), qs, res)),
+        );
+    }
+}
+
+impl QuadrupletOracle for Served<QuadBackend, [usize; 4]> {
     fn n(&self) -> usize {
         self.n
     }
 
     fn le(&mut self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        if self.starved || !self.pool.try_reserve(1) {
-            self.starved = true;
-            return OVER_BUDGET_ANSWER;
-        }
-        // Scalar queries skip the coalescer: nothing to combine with.
-        relock(&self.backend).le(a, b, c, d)
+        self.scalar(|backend| backend.le(a, b, c, d))
     }
 
     fn le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<bool>) {
-        if queries.is_empty() {
-            return;
-        }
-        if self.starved || !self.pool.try_reserve(queries.len() as u64) {
-            self.starved = true;
-            out.extend(std::iter::repeat_n(OVER_BUDGET_ANSWER, queries.len()));
-            return;
-        }
-        let backend = Arc::clone(&self.backend);
-        let answers = self.coalescer.submit(queries, &move |qs, res| {
-            relock(&backend).le_batch(qs, res);
-        });
-        out.extend(answers);
+        self.round(queries, out, |backend, qs, res| backend.le_batch(qs, res));
     }
 
     fn doomed(&self) -> bool {
@@ -380,59 +411,30 @@ impl QuadrupletOracle for ServedQuad {
     }
 }
 
-/// The backend answers are a pure function of the query (exact memo over
-/// a persistent model); the pool's refusal bit can diverge, but only on
-/// requests already doomed to fail typed — the same doomed-run argument
-/// as [`Budgeted`]'s `PersistentNoise` impl. Masked backend faults keep
-/// the purity: retries re-read the same persistent belief.
-impl PersistentNoise for ServedQuad {}
-
-/// Comparison twin of [`ServedQuad`] for value engines.
-struct ServedCmp {
-    n: usize,
-    backend: Arc<Mutex<CmpBackend>>,
-    coalescer: Arc<Coalescer<(usize, usize)>>,
-    pool: Arc<BudgetPool>,
-    starved: bool,
-}
-
-impl ComparisonOracle for ServedCmp {
+impl ComparisonOracle for Served<CmpBackend, (usize, usize)> {
     fn n(&self) -> usize {
         self.n
     }
 
     fn le(&mut self, i: usize, j: usize) -> bool {
-        if self.starved || !self.pool.try_reserve(1) {
-            self.starved = true;
-            return OVER_BUDGET_ANSWER;
-        }
-        relock(&self.backend).le(i, j)
+        self.scalar(|backend| backend.le(i, j))
     }
 
     fn le_batch(&mut self, queries: &[(usize, usize)], out: &mut Vec<bool>) {
-        if queries.is_empty() {
-            return;
-        }
-        if self.starved || !self.pool.try_reserve(queries.len() as u64) {
-            self.starved = true;
-            out.extend(std::iter::repeat_n(OVER_BUDGET_ANSWER, queries.len()));
-            return;
-        }
-        let backend = Arc::clone(&self.backend);
-        let answers = self.coalescer.submit(queries, &move |qs, res| {
-            relock(&backend).le_batch(qs, res);
-        });
-        out.extend(answers);
+        self.round(queries, out, |backend, qs, res| backend.le_batch(qs, res));
     }
 
     fn doomed(&self) -> bool {
-        // See [`ServedQuad::doomed`].
         self.starved
     }
 }
 
-/// See [`ServedQuad`]'s impl for the argument.
-impl PersistentNoise for ServedCmp {}
+/// The backend answers are a pure function of the query (exact memo over
+/// a persistent model); the pool's refusal bit can diverge, but only on
+/// requests already doomed to fail typed — the same doomed-run argument
+/// as [`Budgeted`]'s `PersistentNoise` impl. Masked backend faults keep
+/// the purity: retries re-read the same persistent belief.
+impl<B, Q> PersistentNoise for Served<B, Q> {}
 
 // ---------------------------------------------------------------------
 // The server.
@@ -505,35 +507,26 @@ struct ServerShared {
     partial_completions: AtomicU64,
 }
 
-/// One engine attempt's per-request meter readings — the serve-plane
-/// analogue of the session layer's internal meters.
-struct AttemptMeters {
+/// A snapshot of the shared backend's counters.
+struct BackendMeters {
     queries: u64,
-    rounds: u64,
-    exceeded: bool,
-    killed: bool,
-    starved: bool,
-    estimate: Option<NoiseEstimate>,
-    probes: Option<u64>,
+    memo_hits: u64,
+    retries: u64,
+    faults_masked: u64,
+    /// `Some(attempt bound)` once the retry layer was exhausted.
+    failed: Option<u32>,
 }
 
-impl AttemptMeters {
-    /// Folds an escalated re-run onto the discarded first attempt:
-    /// spend and probes accumulate, the kill flags come from the
-    /// attempt that produced the answer, and the estimate prefers the
-    /// re-run's fresher probes.
-    fn accumulated(first: Self, second: Self) -> Self {
+impl BackendMeters {
+    fn read<X: PersistentNoise>(backend: &Mutex<Backend<X>>) -> Self {
+        let memo = relock(backend);
+        let retrying = memo.inner();
         Self {
-            queries: first.queries + second.queries,
-            rounds: first.rounds + second.rounds,
-            exceeded: second.exceeded,
-            killed: second.killed,
-            starved: second.starved,
-            estimate: second.estimate.or(first.estimate),
-            probes: match (first.probes, second.probes) {
-                (Some(a), Some(b)) => Some(a + b),
-                (a, b) => a.or(b),
-            },
+            queries: retrying.inner().queries(),
+            memo_hits: memo.hits(),
+            retries: retrying.retries(),
+            faults_masked: retrying.faults_masked(),
+            failed: retrying.failed(),
         }
     }
 }
@@ -573,285 +566,164 @@ impl ServerShared {
         }
     }
 
-    /// `Some(attempt bound)` once any request drove the shared backend's
-    /// retry layer to exhaustion. The latch is sticky and server-wide:
-    /// from that point the backend returns constants, so every request
-    /// that finishes after it (racing finishers included — conservative
-    /// by design) is failed typed rather than given poisoned answers.
-    fn backend_failed(&self) -> Option<u32> {
-        if let Some(b) = &self.quad_backend {
-            relock(b).inner().failed()
-        } else if let Some(b) = &self.cmp_backend {
-            relock(b).inner().failed()
-        } else {
-            unreachable!("every engine has exactly one backend plane")
+    /// The shared backend's counters, whichever plane the engine has.
+    /// Its `failed` latch is sticky and server-wide: once any request
+    /// drove the retry layer to exhaustion the backend returns
+    /// constants, so every request that finishes after it (racing
+    /// finishers included — conservative by design) is failed typed
+    /// rather than given poisoned answers.
+    fn backend(&self) -> BackendMeters {
+        match (&self.quad_backend, &self.cmp_backend) {
+            (Some(b), _) => BackendMeters::read(b),
+            (_, Some(b)) => BackendMeters::read(b),
+            _ => unreachable!("every engine has exactly one backend plane"),
         }
     }
 
-    /// Runs one engine attempt for `task` over a fresh per-request
-    /// oracle chain: served backend view (pool admission → coalescer →
-    /// shared memoised backend) → per-request [`Budgeted`]
-    /// (budget/deadline/cancel) → outermost [`ProbeOracle`] injecting
-    /// the session's per-seed probe plan into the live stream. Probes
-    /// are billed like every other query — through the request's
-    /// budget, the pool, and the shared backend alike.
-    #[allow(clippy::too_many_arguments)]
+    /// Runs one engine attempt for `task` on the engine's backend plane.
     fn attempt(
         &self,
         session: &Session,
         task: Task,
-        n: usize,
         scale: f64,
         budget: Option<u64>,
-        deadline: Option<Instant>,
-        cancel: Option<Arc<AtomicBool>>,
-        partial: &mut Option<PartialOutcome>,
-        plane: &mut Option<MergePlaneStats>,
-    ) -> Result<(Answer, AttemptMeters), NcoError> {
-        let probe_plan = session.probe_plan();
-        let probing = probe_plan.is_active();
+        ctx: &RunCtx,
+    ) -> Result<(Answer, Meters), NcoError> {
         if task.needs_values() {
             let backend = self
                 .cmp_backend
                 .as_ref()
                 .expect("validate() gated value tasks on a value engine");
-            let served = ServedCmp {
-                n,
-                backend: Arc::clone(backend),
-                coalescer: Arc::clone(&self.cmp_coalescer),
-                pool: Arc::clone(&self.pool),
-                starved: false,
-            };
-            let mut oracle = ProbeOracle::new(
-                Budgeted::new(served, budget)
-                    .with_deadline(deadline)
-                    .with_cancel(cancel),
-                probe_plan,
-            );
-            let answer = session.value_task(task, &mut oracle, scale, partial)?;
-            let estimate = oracle.estimate();
-            let probes = probing.then(|| oracle.stats().probes);
-            let budgeted = oracle.inner();
-            Ok((
-                answer,
-                AttemptMeters {
-                    queries: budgeted.queries(),
-                    rounds: budgeted.rounds(),
-                    exceeded: budgeted.exceeded(),
-                    killed: budgeted.killed(),
-                    starved: budgeted.inner().starved,
-                    estimate,
-                    probes,
-                },
-            ))
+            self.served_attempt(
+                session,
+                backend,
+                &self.cmp_coalescer,
+                budget,
+                ctx,
+                |o, p, pl| session.value_task(task, o, scale, p, pl),
+            )
         } else {
             let backend = self
                 .quad_backend
                 .as_ref()
                 .expect("validate() gated metric tasks on a metric engine");
-            let served = ServedQuad {
-                n,
-                backend: Arc::clone(backend),
-                coalescer: Arc::clone(&self.quad_coalescer),
-                pool: Arc::clone(&self.pool),
-                starved: false,
-            };
-            let mut oracle = ProbeOracle::new(
-                Budgeted::new(served, budget)
-                    .with_deadline(deadline)
-                    .with_cancel(cancel),
-                probe_plan,
-            );
-            let answer = session.quad_task(task, &mut oracle, scale, plane, partial)?;
-            let estimate = oracle.estimate();
-            let probes = probing.then(|| oracle.stats().probes);
-            let budgeted = oracle.inner();
-            Ok((
-                answer,
-                AttemptMeters {
-                    queries: budgeted.queries(),
-                    rounds: budgeted.rounds(),
-                    exceeded: budgeted.exceeded(),
-                    killed: budgeted.killed(),
-                    starved: budgeted.inner().starved,
-                    estimate,
-                    probes,
-                },
-            ))
+            self.served_attempt(
+                session,
+                backend,
+                &self.quad_coalescer,
+                budget,
+                ctx,
+                |o, p, pl| session.quad_task(task, o, scale, p, pl),
+            )
         }
     }
 
+    /// One engine pass over a fresh per-request oracle chain: served
+    /// backend view (pool admission → coalescer → shared memoised
+    /// backend) → per-request [`Budgeted`] (budget/deadline/cancel) →
+    /// outermost [`ProbeOracle`] injecting the session's per-seed probe
+    /// plan into the live stream. Probes are billed like every other
+    /// query — through the request's budget, the pool, and the shared
+    /// backend alike. The backend's failure latch is read into the
+    /// meters here, before the escalation decision and the exit see it.
+    fn served_attempt<B, Q, R>(
+        &self,
+        session: &Session,
+        backend: &Arc<Mutex<B>>,
+        coalescer: &Arc<Coalescer<Q>>,
+        budget: Option<u64>,
+        ctx: &RunCtx,
+        run: R,
+    ) -> Result<(Answer, Meters), NcoError>
+    where
+        R: FnOnce(
+            &mut ProbeOracle<Budgeted<Served<B, Q>>>,
+            &mut Option<PartialOutcome>,
+            &mut Option<MergePlaneStats>,
+        ) -> Result<Answer, NcoError>,
+    {
+        let served = Served {
+            n: session.engine().n(),
+            backend: Arc::clone(backend),
+            coalescer: Arc::clone(coalescer),
+            pool: Arc::clone(&self.pool),
+            starved: false,
+        };
+        let probe = session.probe_plan();
+        let mut oracle = ProbeOracle::new(session.budgeted(served, budget, ctx), probe);
+        let mut m = Meters::default();
+        let answer = run(&mut oracle, &mut m.partial, &mut m.merge_plane)?;
+        m.read(&oracle, probe.is_active(), oracle.inner());
+        m.starved = oracle.inner().inner().starved.then(|| self.pool.cap());
+        m.failed = self.backend().failed;
+        Ok((answer, m))
+    }
+
+    /// Runs one request exactly as a solo [`Session::run`] would —
+    /// same escalation rule, same exit — and tallies the outcome into
+    /// the server counters.
     fn execute(&self, request: &Request) -> Result<Outcome, NcoError> {
         let session = self.template.with_seed(request.seed);
         session.validate(request.task)?;
-        let engine = Arc::clone(session.engine());
-        let start = Instant::now();
-        let cache_start = engine.cache_entries();
-        let budget = session.cfg().budget;
         // Per-request deadline/cancellation, measured from the moment a
         // worker picks the request up (queue wait is not billed against
         // the deadline — admission control already bounds the queue).
-        let deadline = session.cfg().deadline.map(|d| start + d);
-        let cancel = session.cfg().cancel.as_ref().map(CancelToken::flag);
-
-        let mut partial = None;
-        let mut merge_plane = None;
-        let (mut answer, mut m) = self.attempt(
-            &session,
-            request.task,
-            engine.n(),
-            session.base_scale(),
-            budget,
-            deadline,
-            cancel.clone(),
-            &mut partial,
-            &mut merge_plane,
-        )?;
-        let mut adaptations = 0u32;
-        // Adaptive escalation, exactly as in a solo run: a *clean*
-        // first attempt whose probes flagged the assumed noise rate is
-        // re-run with re-derived parameters on the request's remaining
-        // budget. The shared backend is persistent and memoised, so the
-        // re-run resumes the same noise beliefs a solo escalation would.
-        if !m.exceeded && !m.killed && !m.starved && self.backend_failed().is_none() {
-            if let Some(scale) = session.escalation_scale(&m.estimate) {
-                let remaining = budget.map(|b| b.saturating_sub(m.queries));
-                let mut partial2 = None;
-                let mut plane2 = None;
-                let (answer2, m2) = self.attempt(
-                    &session,
-                    request.task,
-                    engine.n(),
-                    scale,
-                    remaining,
-                    deadline,
-                    cancel,
-                    &mut partial2,
-                    &mut plane2,
-                )?;
-                answer = answer2;
-                partial = partial2;
-                merge_plane = plane2;
-                m = AttemptMeters::accumulated(m, m2);
-                adaptations = 1;
-                self.adaptations.fetch_add(1, Ordering::Relaxed);
+        let ctx = RunCtx::begin(session.engine());
+        // An escalated re-run goes through the same shared backend,
+        // which is persistent and memoised, so it resumes the same
+        // noise beliefs a solo escalation would.
+        let mut passes = 0;
+        let result = session.settle(ctx, |scale, budget| {
+            let (answer, mut m) = self.attempt(&session, request.task, scale, budget, &ctx)?;
+            passes += 1;
+            if let Some(p) = m.probes {
+                self.probes.fetch_add(p, Ordering::Relaxed);
             }
+            // Killed requests carry their best-effort partials only when
+            // the plane opted into graceful degradation; the default
+            // sheds plain, keeping error payloads lean under load.
+            if !self.degrade {
+                m.partial = None;
+            }
+            Ok((answer, m))
+        });
+        if passes > 1 {
+            self.adaptations.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(p) = m.probes {
-            self.probes.fetch_add(p, Ordering::Relaxed);
-        }
-
-        // Same failure precedence as a solo `Session::run`: a backend
-        // fault that outlived the retry policy trumps everything, then
-        // the deadline kill, then budget exhaustion (pooled or
-        // per-request), then the misspecification guard.
-        if let Some(attempts) = self.backend_failed() {
-            return Err(NcoError::OracleFailed {
-                queries_spent: m.queries,
-                attempts,
-            });
-        }
-        let cache_entries = engine.cache_entries();
-        let report = RunReport {
-            queries: m.queries,
-            rounds: m.rounds,
-            // The backend memo is a server-level resource; its hit tally
-            // is aggregate, not per request (the hits live in
-            // `ServeStats`).
-            memo_hits: None,
-            cache_entries,
-            cache_added: cache_entries.map(|e| e.saturating_sub(cache_start.unwrap_or(0))),
-            wall: start.elapsed(),
-            budget,
-            merge_plane,
-            observed_flip_rate: m.estimate.map(|e| e.p_hat),
-            probes: m.probes,
-            adaptations,
+        let partial_completion = match &result {
+            Err(NcoError::DeadlineExceeded { partial, .. }) => {
+                self.deadline_kills.fetch_add(1, Ordering::Relaxed);
+                partial.is_some()
+            }
+            Err(NcoError::BudgetExceeded { partial, .. }) => partial.is_some(),
+            Err(NcoError::NoiseMisspecified { .. }) => {
+                self.misspecifications.fetch_add(1, Ordering::Relaxed);
+                false
+            }
+            _ => false,
         };
-        // Killed requests carry their best-effort partials only when
-        // the plane opted into graceful degradation; the default sheds
-        // plain, keeping error payloads lean under load.
-        let partial = if self.degrade { partial } else { None };
-        if (m.killed || m.starved || m.exceeded) && partial.is_some() {
+        if partial_completion {
             self.partial_completions.fetch_add(1, Ordering::Relaxed);
         }
-        if m.killed {
-            self.deadline_kills.fetch_add(1, Ordering::Relaxed);
-            return Err(NcoError::DeadlineExceeded {
-                report: Box::new(report),
-                partial,
-            });
-        }
-        if m.starved {
-            // The *pooled* budget ran dry mid-request: shed this request
-            // without unwinding the others.
-            return Err(NcoError::BudgetExceeded {
-                budget: self.pool.cap(),
-                report: Box::new(report),
-                partial,
-            });
-        }
-        if m.exceeded {
-            return Err(NcoError::BudgetExceeded {
-                budget: budget.expect("exceeded implies a budget"),
-                report: Box::new(report),
-                partial,
-            });
-        }
-        // The misspecification guard fires last, and never on an
-        // adapted request — the escalated re-run already answered the
-        // misspecification, exactly as in a solo session.
-        if adaptations == 0 {
-            if let Some(est) = session.misspecified(&m.estimate) {
-                self.misspecifications.fetch_add(1, Ordering::Relaxed);
-                return Err(NcoError::NoiseMisspecified {
-                    assumed: session
-                        .assumed_rate()
-                        .expect("trigger implies an assumption"),
-                    observed: est.p_hat,
-                    probes: m.probes.unwrap_or(0),
-                    report: Box::new(report),
-                });
-            }
-        }
-        Ok(Outcome::new(answer, report))
+        result
     }
 
     fn stats(&self) -> ServeStats {
-        let (backend_queries, memo_hits, retries, faults_masked) =
-            if let Some(b) = &self.quad_backend {
-                let b = relock(b);
-                (
-                    b.inner().inner().queries(),
-                    b.hits(),
-                    b.inner().retries(),
-                    b.inner().faults_masked(),
-                )
-            } else if let Some(b) = &self.cmp_backend {
-                let b = relock(b);
-                (
-                    b.inner().inner().queries(),
-                    b.hits(),
-                    b.inner().retries(),
-                    b.inner().faults_masked(),
-                )
-            } else {
-                unreachable!("every engine has exactly one backend plane")
-            };
+        let backend = self.backend();
         ServeStats {
             submitted: self.submitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
-            backend_queries,
-            memo_hits,
+            backend_queries: backend.queries,
+            memo_hits: backend.memo_hits,
             backend_rounds: self.quad_coalescer.rounds.load(Ordering::Relaxed)
                 + self.cmp_coalescer.rounds.load(Ordering::Relaxed),
             coalesced_rounds: self.quad_coalescer.coalesced.load(Ordering::Relaxed)
                 + self.cmp_coalescer.coalesced.load(Ordering::Relaxed),
             pool_spent: self.pool.spent(),
             pool_cap: self.pool.cap(),
-            retries,
-            faults_masked,
+            retries: backend.retries,
+            faults_masked: backend.faults_masked,
             deadline_kills: self.deadline_kills.load(Ordering::Relaxed),
             panics: self.panics.load(Ordering::Relaxed),
             probes: self.probes.load(Ordering::Relaxed),
@@ -917,12 +789,6 @@ impl ServerBuilder {
             return Err(NcoError::invalid("queue capacity must be positive"));
         }
         let cfg = self.template.cfg();
-        if cfg.memo {
-            return Err(NcoError::invalid(
-                "the serving backend is always memoised; build the template without \
-                 memoize(true) — per-request accounting mirrors a plain solo run",
-            ));
-        }
         let engine = self.template.engine();
         if engine.n() > (1 << 16) {
             return Err(NcoError::invalid(format!(
@@ -933,24 +799,12 @@ impl ServerBuilder {
         }
         let plan = cfg.fault_plan.unwrap_or_else(FaultPlan::none);
         let policy = cfg.retry.unwrap_or_default();
-        let quad_backend = engine.has_metric().then(|| {
-            Arc::new(Mutex::new(MemoOracle::new(Retrying::new(
-                Counting::new(FaultyOracle::new(
-                    BoxedQuad(self.template.boxed_quad_backend()),
-                    plan,
-                )),
-                policy,
-            ))))
-        });
-        let cmp_backend = engine.has_values().then(|| {
-            Arc::new(Mutex::new(MemoOracle::new(Retrying::new(
-                Counting::new(FaultyOracle::new(
-                    BoxedCmp(self.template.boxed_cmp_backend()),
-                    plan,
-                )),
-                policy,
-            ))))
-        });
+        let quad_backend = engine
+            .has_metric()
+            .then(|| shared_backend(BoxedQuad(self.template.boxed_quad_backend()), plan, policy));
+        let cmp_backend = engine
+            .has_values()
+            .then(|| shared_backend(BoxedCmp(self.template.boxed_cmp_backend()), plan, policy));
         let shared = Arc::new(ServerShared {
             template: self.template,
             queue: Mutex::new(ServerQueue {
@@ -989,7 +843,7 @@ impl ServerBuilder {
 }
 
 /// Aggregate serving-plane counters (see [`Server::stats`]). Per-request
-/// accounting lives in each request's [`RunReport`]; these are the
+/// accounting lives in each request's [`crate::RunReport`]; these are the
 /// server-level totals behind it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]

@@ -16,9 +16,10 @@
 //!        │                      │
 //!        │ owns/shares          │ per run: oracle chain
 //!        ▼                      ▼
-//!     Arc<Engine>     Budgeted(MemoOracle?(noise oracle(&engine data)))
-//!  (values | metric        │
-//!   [+ DistCache])         └─ nco-core engines (Max-Adv, Count-Max-Prob,
+//!     Arc<Engine>     ProbeOracle(Retrying(Budgeted(FaultyOracle(
+//!  (values | metric       noise oracle(&engine data)))))
+//!   [+ DistCache])         │
+//!                          └─ nco-core engines (Max-Adv, Count-Max-Prob,
 //!                             Alg. 6/7/11, core-routed searches)
 //! ```
 //!
@@ -72,8 +73,8 @@ use nco_oracle::fault::{FaultPlan, FaultyOracle, RetryPolicy, Retrying};
 use nco_oracle::persistent::PersistentNoise;
 use nco_oracle::probabilistic::{ProbQuadOracle, ProbValueOracle};
 use nco_oracle::{
-    ComparisonOracle, MemoOracle, NoiseEstimate, ProbeOracle, ProbePlan, QuadrupletOracle,
-    TrueQuadOracle, TrueValueOracle,
+    ComparisonOracle, NoiseEstimate, ProbeOracle, ProbePlan, QuadrupletOracle, TrueQuadOracle,
+    TrueValueOracle,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -349,7 +350,6 @@ impl CancelToken {
 /// | [`noise`](Self::noise) | [`Noise::Exact`] | oracle noise model |
 /// | [`confidence`](Self::confidence) | experimental params | theorem-grade failure probability `delta` |
 /// | [`cache_distances`](Self::cache_distances) | `false` | engine-level [`DistCache`] |
-/// | [`memoize`](Self::memoize) | `false` | exact answer memo ([`MemoOracle`]) |
 /// | [`seed`](Self::seed) | `0` | rng stream of each run |
 /// | [`budget`](Self::budget) | unlimited | hard cap on oracle queries |
 /// | [`min_cluster_promise`](Self::min_cluster_promise) | `n / 2k` | Algorithm 7's `m` |
@@ -360,7 +360,6 @@ impl CancelToken {
 /// | [`probe_noise`](Self::probe_noise) | off | billed online flip-rate probing ([`ProbeOracle`]) |
 /// | [`assume_noise_rate`](Self::assume_noise_rate) | none | scale repetitions for an assumed flip rate |
 /// | [`adapt_noise`](Self::adapt_noise) | fail fast | response to a misspecified noise rate |
-/// | [`scaffold_search`](Self::scaffold_search) | off | shared-scaffold plane for hierarchy searches |
 #[derive(Debug, Default)]
 #[must_use = "a builder does nothing until build() is called"]
 pub struct SessionBuilder {
@@ -370,7 +369,6 @@ pub struct SessionBuilder {
     cache_distances: bool,
     noise: Noise,
     delta: Option<f64>,
-    memo: bool,
     seed: u64,
     budget: Option<u64>,
     min_cluster_promise: Option<usize>,
@@ -382,7 +380,6 @@ pub struct SessionBuilder {
     probe_rate: Option<f64>,
     assumed_noise: Option<f64>,
     adapt: Option<AdaptPolicy>,
-    scaffold: bool,
     /// A typed rejection recorded by a data-source method (degenerate
     /// points), surfaced by [`Self::build`] — builder methods return
     /// `Self`, so they cannot fail in place.
@@ -479,13 +476,6 @@ impl SessionBuilder {
     /// [`DistCache`] shared across all sessions on the engine.
     pub fn cache_distances(mut self, on: bool) -> Self {
         self.cache_distances = on;
-        self
-    }
-
-    /// Memoise oracle *answers* in an exact [`MemoOracle`] (persistent
-    /// noise makes repeats free). The memo lives for one run.
-    pub fn memoize(mut self, on: bool) -> Self {
-        self.memo = on;
         self
     }
 
@@ -636,18 +626,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Run [`Task::Hierarchy`] searches over the shared-scaffold search
-    /// plane (`HierParams::scaffolded`): one Max-Adv scaffold amortised
-    /// across all initial-pointer and pointer-repair searches — strictly
-    /// fewer queries, identical guarantees, decision-identical to its
-    /// from-scratch reference. Off by default because it changes the
-    /// randomness schedule, so enabling it changes which (equally valid)
-    /// dendrogram a given seed produces. No effect on other tasks.
-    pub fn scaffold_search(mut self, on: bool) -> Self {
-        self.scaffold = on;
-        self
-    }
-
     /// Validates the configuration and builds the session (constructing
     /// the engine unless one was attached).
     pub fn build(self) -> Result<Session, NcoError> {
@@ -753,14 +731,6 @@ impl SessionBuilder {
                 "minimum cluster-size promise m must be positive",
             ));
         }
-        if self.memo && engine.n() > (1 << 16) {
-            return Err(NcoError::invalid(format!(
-                "answer memoisation is capped at n = 65536 records (n = {}): quadruplet \
-                 keys pack indices into 16 bits and the comparison pair table is \
-                 n(n-1)/4 bytes",
-                engine.n()
-            )));
-        }
         if let Some(rate) = self.probe_rate {
             if !(rate.is_finite() && (0.0..=1.0).contains(&rate)) {
                 return Err(NcoError::invalid(format!(
@@ -785,7 +755,6 @@ impl SessionBuilder {
             cfg: Config {
                 noise: self.noise,
                 delta: self.delta,
-                memo: self.memo,
                 seed: self.seed,
                 budget: self.budget,
                 min_cluster_promise: self.min_cluster_promise,
@@ -797,7 +766,6 @@ impl SessionBuilder {
                 probe_rate: self.probe_rate,
                 assumed_noise: self.assumed_noise,
                 adapt: self.adapt,
-                scaffold: self.scaffold,
             },
         })
     }
@@ -807,7 +775,6 @@ impl SessionBuilder {
 pub(crate) struct Config {
     pub(crate) noise: Noise,
     pub(crate) delta: Option<f64>,
-    pub(crate) memo: bool,
     pub(crate) seed: u64,
     pub(crate) budget: Option<u64>,
     pub(crate) min_cluster_promise: Option<usize>,
@@ -819,14 +786,13 @@ pub(crate) struct Config {
     pub(crate) probe_rate: Option<f64>,
     pub(crate) assumed_noise: Option<f64>,
     pub(crate) adapt: Option<AdaptPolicy>,
-    pub(crate) scaffold: bool,
 }
 
 /// Per-run bookkeeping captured when `run` starts, threaded through to
 /// [`Session::finish`] so the report can attribute per-run deltas
 /// (wall clock, distance-cache growth) on top of engine-level totals.
 #[derive(Debug, Clone, Copy)]
-struct RunCtx {
+pub(crate) struct RunCtx {
     start: Instant,
     /// Engine distance-cache fill when the run started (`None` when
     /// caching is off).
@@ -834,7 +800,7 @@ struct RunCtx {
 }
 
 impl RunCtx {
-    fn begin(engine: &Engine) -> Self {
+    pub(crate) fn begin(engine: &Engine) -> Self {
         Self {
             start: Instant::now(),
             cache_start: engine.cache_entries(),
@@ -910,82 +876,48 @@ impl Session {
                 "metric-space tasks need a session built over points, a metric or a dataset",
             ));
         }
-        match task {
-            Task::Max => {
-                if n == 0 {
-                    return Err(NcoError::empty("cannot take the maximum of zero values"));
-                }
+        // Per task: the smallest runnable corpus, what an undersized one
+        // cannot do, and the name under which `1 <= k <= n` is checked.
+        let (min_n, empty, ranked) = match task {
+            Task::Max => (1, "cannot take the maximum of zero values", None),
+            Task::TopK { k } => (1, "cannot select from zero values", Some(("top-k", k))),
+            Task::Sort => (1, "cannot sort zero values", None),
+            Task::Select { k } => (1, "cannot select from zero values", Some(("select", k))),
+            Task::Partition { k } => (1, "cannot partition zero values", Some(("partition", k))),
+            Task::KCenter { k } => (1, "cannot cluster zero records", Some(("k-center", k))),
+            Task::Nearest { .. } | Task::Farthest { .. } => {
+                (2, "neighbour search needs at least 2 records", None)
             }
-            Task::TopK { k } => {
-                if n == 0 {
-                    return Err(NcoError::empty("cannot select from zero values"));
-                }
-                if k == 0 || k > n {
-                    return Err(NcoError::invalid(format!(
-                        "top-k needs 1 <= k <= n (k = {k}, n = {n})"
-                    )));
-                }
+            Task::Hierarchy { .. } => (2, "agglomeration needs at least 2 records", None),
+        };
+        if n < min_n {
+            return Err(NcoError::empty(if min_n > 1 {
+                format!("{empty} (n = {n})")
+            } else {
+                empty.to_string()
+            }));
+        }
+        if let Some((name, k)) = ranked {
+            if k == 0 || k > n {
+                return Err(NcoError::invalid(format!(
+                    "{name} needs 1 <= k <= n (k = {k}, n = {n})"
+                )));
             }
-            Task::Nearest { q } | Task::Farthest { q } => {
-                if n < 2 {
-                    return Err(NcoError::empty(format!(
-                        "neighbour search needs at least 2 records (n = {n})"
-                    )));
-                }
-                if q >= n {
-                    return Err(NcoError::invalid(format!(
-                        "query record q = {q} out of range (n = {n})"
-                    )));
-                }
-            }
-            Task::KCenter { k } => {
-                if n == 0 {
-                    return Err(NcoError::empty("cannot cluster zero records"));
-                }
-                if k == 0 || k > n {
-                    return Err(NcoError::invalid(format!(
-                        "k-center needs 1 <= k <= n (k = {k}, n = {n})"
-                    )));
-                }
-            }
-            Task::Hierarchy { .. } => {
-                if n < 2 {
-                    return Err(NcoError::empty(format!(
-                        "agglomeration needs at least 2 records (n = {n})"
-                    )));
-                }
-            }
-            Task::Sort => {
-                if n == 0 {
-                    return Err(NcoError::empty("cannot sort zero values"));
-                }
-            }
-            Task::Select { k } => {
-                if n == 0 {
-                    return Err(NcoError::empty("cannot select from zero values"));
-                }
-                if k == 0 || k > n {
-                    return Err(NcoError::invalid(format!(
-                        "select needs 1 <= k <= n (k = {k}, n = {n})"
-                    )));
-                }
-            }
-            Task::Partition { k } => {
-                if n == 0 {
-                    return Err(NcoError::empty("cannot partition zero values"));
-                }
-                if k == 0 || k > n {
-                    return Err(NcoError::invalid(format!(
-                        "partition needs 1 <= k <= n (k = {k}, n = {n})"
-                    )));
-                }
+        }
+        if let Task::Nearest { q } | Task::Farthest { q } = task {
+            if q >= n {
+                return Err(NcoError::invalid(format!(
+                    "query record q = {q} out of range (n = {n})"
+                )));
             }
         }
         Ok(())
     }
 
     // -----------------------------------------------------------------
-    // Value tasks (comparison oracles).
+    // The run path: each `Noise` arm builds its raw oracle, `drive`
+    // wraps it in the per-run [`Chain`], and `settle` applies the
+    // escalation rule and the failure precedence.
     //
     // The value oracles own their Vec<f64>, so each run copies the
     // engine's values once — O(n), dwarfed by the O(n polylog) query
@@ -997,26 +929,67 @@ impl Session {
 
     fn run_value(&self, task: Task, values: &[f64], ctx: RunCtx) -> Result<Outcome, NcoError> {
         // Oracle *factories*, not oracles: an adaptive session may run
-        // the engine twice (see `drive_value`), and persistence makes a
+        // the engine twice (see `settle`), and persistence makes a
         // rebuilt oracle answer identically to the first.
         match self.cfg.noise {
-            Noise::Exact => self.drive_value(task, || TrueValueOracle::new(values.to_vec()), ctx),
-            Noise::Adversarial { mu } => self.drive_value(
+            Noise::Exact => self.drive(
                 task,
-                || AdversarialValueOracle::new(values.to_vec(), mu, InvertAdversary),
                 ctx,
+                || TrueValueOracle::new(values.to_vec()),
+                Self::value_task,
             ),
-            Noise::Probabilistic { p, seed } => {
-                self.drive_value(task, || ProbValueOracle::new(values.to_vec(), p, seed), ctx)
-            }
+            Noise::Adversarial { mu } => self.drive(
+                task,
+                ctx,
+                || AdversarialValueOracle::new(values.to_vec(), mu, InvertAdversary),
+                Self::value_task,
+            ),
+            Noise::Probabilistic { p, seed } => self.drive(
+                task,
+                ctx,
+                || ProbValueOracle::new(values.to_vec(), p, seed),
+                Self::value_task,
+            ),
             Noise::Crowd {
                 profile,
                 workers,
                 seed,
-            } => self.drive_value(
+            } => self.drive(
                 task,
-                || CrowdValueOracle::new(values.to_vec(), profile, workers, seed),
                 ctx,
+                || CrowdValueOracle::new(values.to_vec(), profile, workers, seed),
+                Self::value_task,
+            ),
+        }
+    }
+
+    fn run_metric<M>(&self, task: Task, metric: M, ctx: RunCtx) -> Result<Outcome, NcoError>
+    where
+        M: Metric + Copy,
+    {
+        match self.cfg.noise {
+            Noise::Exact => self.drive(task, ctx, || TrueQuadOracle::new(metric), Self::quad_task),
+            Noise::Adversarial { mu } => self.drive(
+                task,
+                ctx,
+                || AdversarialQuadOracle::new(metric, mu, InvertAdversary),
+                Self::quad_task,
+            ),
+            Noise::Probabilistic { p, seed } => self.drive(
+                task,
+                ctx,
+                || ProbQuadOracle::new(metric, p, seed),
+                Self::quad_task,
+            ),
+            Noise::Crowd {
+                profile,
+                workers,
+                seed,
+            } => self.drive(
+                task,
+                ctx,
+                || CrowdQuadOracle::new(metric, profile, workers, seed),
+                Self::quad_task,
             ),
         }
     }
@@ -1062,112 +1035,102 @@ impl Session {
         }
     }
 
-    /// The per-run oracle chain, inside out: faults are injected right
-    /// on the raw oracle, the budget/deadline meter bills every ask
-    /// (faulted or not), the optional answer memo serves repeats for
-    /// free, retry re-enters the meter on every re-ask of a faulted
-    /// lane, and the probe plane sits outermost so its probe triangles
-    /// are billed, budgeted and fault-masked like real queries. With no
-    /// fault plan and no probing the chain is fully transparent —
-    /// bit-identical answers and meters to wiring the budget alone.
-    ///
-    /// With [`AdaptPolicy::Escalate`], a clean first attempt whose probe
-    /// estimate trips the misspecification guard is discarded and the
-    /// engine re-runs (fresh chain from `make_raw`, same rng seed) with
-    /// parameters re-derived for the observed rate, on whatever budget
-    /// the first attempt left. Meters accumulate across both attempts.
-    fn drive_value<O, F>(&self, task: Task, make_raw: F, ctx: RunCtx) -> Result<Outcome, NcoError>
-    where
-        O: ComparisonOracle + PersistentNoise,
-        F: Fn() -> O,
-    {
-        let (answer, m, partial) =
-            self.value_attempt(task, make_raw(), self.base_scale(), self.cfg.budget, &ctx)?;
-        match self.escalation(&m) {
-            None => self.finish(answer, m, ctx, partial, 0, true),
-            Some((scale, remaining)) => {
-                let (answer, m2, partial) =
-                    self.value_attempt(task, make_raw(), scale, remaining, &ctx)?;
-                self.finish(answer, Meters::accumulated(m, m2), ctx, partial, 1, false)
-            }
-        }
-    }
-
-    /// One engine pass over a fresh oracle chain; returns the answer
-    /// plus the chain's meter readings and the clean-progress partial.
-    fn value_attempt<O>(
+    /// Runs `task` through `run` ([`Self::value_task`] or
+    /// [`Self::quad_task`]) over a fresh [`Chain`] around `make_raw()`
+    /// per attempt, then leaves through [`Self::settle`].
+    fn drive<O, F, R>(
         &self,
         task: Task,
+        ctx: RunCtx,
+        make_raw: F,
+        run: R,
+    ) -> Result<Outcome, NcoError>
+    where
+        F: Fn() -> O,
+        R: Fn(
+            &Self,
+            Task,
+            &mut Chain<O>,
+            f64,
+            &mut Option<PartialOutcome>,
+            &mut Option<MergePlaneStats>,
+        ) -> Result<Answer, NcoError>,
+    {
+        self.settle(ctx, |scale, budget| {
+            self.attempt(make_raw(), budget, &ctx, |oracle, partial, plane| {
+                run(self, task, oracle, scale, partial, plane)
+            })
+        })
+    }
+
+    /// One engine pass over the per-run [`Chain`] around `raw`, read
+    /// into [`Meters`] (with the pass's partial and merge plane).
+    fn attempt<O, R>(
+        &self,
         raw: O,
-        scale: f64,
         budget: Option<u64>,
         ctx: &RunCtx,
-    ) -> Result<(Answer, Meters, Option<PartialOutcome>), NcoError>
+        run: R,
+    ) -> Result<(Answer, Meters), NcoError>
     where
-        O: ComparisonOracle + PersistentNoise,
+        R: FnOnce(
+            &mut Chain<O>,
+            &mut Option<PartialOutcome>,
+            &mut Option<MergePlaneStats>,
+        ) -> Result<Answer, NcoError>,
     {
         let plan = self.cfg.fault_plan.unwrap_or_else(FaultPlan::none);
         let policy = self.cfg.retry.unwrap_or_default();
         let probe = self.probe_plan();
-        let budgeted = Budgeted::new(FaultyOracle::new(raw, plan), budget)
+        let budgeted = self.budgeted(FaultyOracle::new(raw, plan), budget, ctx);
+        let mut oracle = ProbeOracle::new(Retrying::new(budgeted, policy), probe);
+        let mut m = Meters::default();
+        let answer = run(&mut oracle, &mut m.partial, &mut m.merge_plane)?;
+        let retrying = oracle.inner();
+        m.read(&oracle, probe.is_active(), retrying.inner());
+        m.failed = retrying.failed();
+        Ok((answer, m))
+    }
+
+    /// Wraps `inner` in a run's meter: `budget`, plus the session's
+    /// deadline (counted from the run's start) and cancel token.
+    pub(crate) fn budgeted<X>(&self, inner: X, budget: Option<u64>, ctx: &RunCtx) -> Budgeted<X> {
+        Budgeted::new(inner, budget)
             .with_deadline(self.cfg.deadline.map(|d| ctx.start + d))
-            .with_cancel(self.cfg.cancel.as_ref().map(CancelToken::flag));
-        let mut partial = None;
-        if self.cfg.memo {
-            // Memo outside the budget: hits are free, only queries that
-            // reach the real oracle bill. (A probe colliding with an
-            // earlier query is served by the memo, hence unbilled —
-            // the probe plane still counts it toward its estimate.)
-            let mut oracle =
-                ProbeOracle::new(Retrying::new(MemoOracle::new(budgeted), policy), probe);
-            let answer = self.value_task(task, &mut oracle, scale, &mut partial)?;
-            let estimate = oracle.estimate();
-            let probes = probe.is_active().then(|| oracle.stats().probes);
-            let retrying = oracle.inner();
-            let failed = retrying.failed();
-            let memo = retrying.inner();
-            let inner = memo.inner();
-            let m = Meters {
-                queries: inner.queries(),
-                rounds: inner.rounds(),
-                exceeded: inner.exceeded(),
-                killed: inner.killed(),
-                failed,
-                memo_hits: Some(memo.hits()),
-                estimate,
-                probes,
-                merge_plane: None,
-            };
-            Ok((answer, m, partial))
-        } else {
-            let mut oracle = ProbeOracle::new(Retrying::new(budgeted, policy), probe);
-            let answer = self.value_task(task, &mut oracle, scale, &mut partial)?;
-            let estimate = oracle.estimate();
-            let probes = probe.is_active().then(|| oracle.stats().probes);
-            let retrying = oracle.inner();
-            let failed = retrying.failed();
-            let inner = retrying.inner();
-            let m = Meters {
-                queries: inner.queries(),
-                rounds: inner.rounds(),
-                exceeded: inner.exceeded(),
-                killed: inner.killed(),
-                failed,
-                memo_hits: None,
-                estimate,
-                probes,
-                merge_plane: None,
-            };
-            Ok((answer, m, partial))
+            .with_cancel(self.cfg.cancel.as_ref().map(CancelToken::flag))
+    }
+
+    /// The way out of every run, solo or served. `attempt(scale, budget)`
+    /// runs one engine pass. With [`AdaptPolicy::Escalate`], a clean
+    /// first pass whose probe estimate trips the misspecification
+    /// trigger is discarded and the engine re-runs once (fresh chain,
+    /// same rng seed) with parameters re-derived for the observed rate,
+    /// on whatever budget the first pass left; meters accumulate across
+    /// both passes. [`Self::finish`] then turns the meters into the
+    /// report or a typed failure.
+    pub(crate) fn settle<A>(&self, ctx: RunCtx, mut attempt: A) -> Result<Outcome, NcoError>
+    where
+        A: FnMut(f64, Option<u64>) -> Result<(Answer, Meters), NcoError>,
+    {
+        let (answer, m) = attempt(self.base_scale(), self.cfg.budget)?;
+        match self.escalation(&m) {
+            None => self.finish(answer, m, ctx),
+            Some((scale, remaining)) => {
+                let (answer, m2) = attempt(scale, remaining)?;
+                self.finish(answer, Meters::accumulated(m, m2), ctx)
+            }
         }
     }
 
+    /// Runs a value task over `oracle`. Same shape as
+    /// [`Self::quad_task`]; value tasks leave the merge plane unset.
     pub(crate) fn value_task<O: ComparisonOracle>(
         &self,
         task: Task,
         oracle: &mut O,
         scale: f64,
         partial: &mut Option<PartialOutcome>,
+        _plane: &mut Option<MergePlaneStats>,
     ) -> Result<Answer, NcoError> {
         let items: Vec<usize> = (0..oracle.n()).collect();
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
@@ -1291,134 +1254,15 @@ impl Session {
         }
     }
 
-    // -----------------------------------------------------------------
-    // Metric tasks (quadruplet oracles).
-    // -----------------------------------------------------------------
-
-    fn run_metric<M>(&self, task: Task, metric: M, ctx: RunCtx) -> Result<Outcome, NcoError>
-    where
-        M: Metric + Copy,
-    {
-        // Factories for the same reason as `run_value`: adaptive
-        // sessions may rebuild the (persistent, hence identical) chain.
-        match self.cfg.noise {
-            Noise::Exact => self.drive_quad(task, || TrueQuadOracle::new(metric), ctx),
-            Noise::Adversarial { mu } => self.drive_quad(
-                task,
-                || AdversarialQuadOracle::new(metric, mu, InvertAdversary),
-                ctx,
-            ),
-            Noise::Probabilistic { p, seed } => {
-                self.drive_quad(task, || ProbQuadOracle::new(metric, p, seed), ctx)
-            }
-            Noise::Crowd {
-                profile,
-                workers,
-                seed,
-            } => self.drive_quad(
-                task,
-                || CrowdQuadOracle::new(metric, profile, workers, seed),
-                ctx,
-            ),
-        }
-    }
-
-    /// Quadruplet twin of [`Self::drive_value`] — same chain shape and
-    /// the same adaptive re-run.
-    fn drive_quad<O, F>(&self, task: Task, make_raw: F, ctx: RunCtx) -> Result<Outcome, NcoError>
-    where
-        O: QuadrupletOracle + PersistentNoise,
-        F: Fn() -> O,
-    {
-        let (answer, m, partial) =
-            self.quad_attempt(task, make_raw(), self.base_scale(), self.cfg.budget, &ctx)?;
-        match self.escalation(&m) {
-            None => self.finish(answer, m, ctx, partial, 0, true),
-            Some((scale, remaining)) => {
-                let (answer, m2, partial) =
-                    self.quad_attempt(task, make_raw(), scale, remaining, &ctx)?;
-                self.finish(answer, Meters::accumulated(m, m2), ctx, partial, 1, false)
-            }
-        }
-    }
-
-    /// One engine pass over a fresh quadruplet chain — see
-    /// [`Self::value_attempt`].
-    fn quad_attempt<O>(
-        &self,
-        task: Task,
-        raw: O,
-        scale: f64,
-        budget: Option<u64>,
-        ctx: &RunCtx,
-    ) -> Result<(Answer, Meters, Option<PartialOutcome>), NcoError>
-    where
-        O: QuadrupletOracle + PersistentNoise,
-    {
-        let plan = self.cfg.fault_plan.unwrap_or_else(FaultPlan::none);
-        let policy = self.cfg.retry.unwrap_or_default();
-        let probe = self.probe_plan();
-        let deadline = self.cfg.deadline.map(|d| ctx.start + d);
-        let cancel = self.cfg.cancel.as_ref().map(CancelToken::flag);
-        let budgeted = Budgeted::new(FaultyOracle::new(raw, plan), budget)
-            .with_deadline(deadline)
-            .with_cancel(cancel);
-        let mut plane = None;
-        let mut partial = None;
-        if self.cfg.memo {
-            // Memo outside the budget: hits are free, only queries that
-            // reach the real oracle bill.
-            let mut oracle =
-                ProbeOracle::new(Retrying::new(MemoOracle::new(budgeted), policy), probe);
-            let answer = self.quad_task(task, &mut oracle, scale, &mut plane, &mut partial)?;
-            let estimate = oracle.estimate();
-            let probes = probe.is_active().then(|| oracle.stats().probes);
-            let retrying = oracle.inner();
-            let failed = retrying.failed();
-            let memo = retrying.inner();
-            let inner = memo.inner();
-            let m = Meters {
-                queries: inner.queries(),
-                rounds: inner.rounds(),
-                exceeded: inner.exceeded(),
-                killed: inner.killed(),
-                failed,
-                memo_hits: Some(memo.hits()),
-                estimate,
-                probes,
-                merge_plane: plane,
-            };
-            Ok((answer, m, partial))
-        } else {
-            let mut oracle = ProbeOracle::new(Retrying::new(budgeted, policy), probe);
-            let answer = self.quad_task(task, &mut oracle, scale, &mut plane, &mut partial)?;
-            let estimate = oracle.estimate();
-            let probes = probe.is_active().then(|| oracle.stats().probes);
-            let retrying = oracle.inner();
-            let failed = retrying.failed();
-            let inner = retrying.inner();
-            let m = Meters {
-                queries: inner.queries(),
-                rounds: inner.rounds(),
-                exceeded: inner.exceeded(),
-                killed: inner.killed(),
-                failed,
-                memo_hits: None,
-                estimate,
-                probes,
-                merge_plane: plane,
-            };
-            Ok((answer, m, partial))
-        }
-    }
-
-    pub(crate) fn quad_task<O: QuadrupletOracle + nco_oracle::PersistentNoise>(
+    /// Runs a metric task over `oracle`, recording the clean-progress
+    /// partial and, for hierarchies, the merge-plane counters.
+    pub(crate) fn quad_task<O: QuadrupletOracle + PersistentNoise>(
         &self,
         task: Task,
         oracle: &mut O,
         scale: f64,
-        plane: &mut Option<MergePlaneStats>,
         partial: &mut Option<PartialOutcome>,
+        plane: &mut Option<MergePlaneStats>,
     ) -> Result<Answer, NcoError> {
         let n = oracle.n();
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
@@ -1516,7 +1360,7 @@ impl Session {
     /// The session's baseline repetition scale: `1/(1-2p)^2` when an
     /// assumed noise rate was configured, `1.0` (a strict no-op on
     /// every parameter) otherwise.
-    pub(crate) fn base_scale(&self) -> f64 {
+    fn base_scale(&self) -> f64 {
         self.cfg.assumed_noise.map(noise_scale_for).unwrap_or(1.0)
     }
 
@@ -1524,7 +1368,7 @@ impl Session {
     /// [`SessionBuilder::assume_noise_rate`], falling back to the model
     /// `p` of [`Noise::Probabilistic`]. `None` (no guard) for other
     /// noise models without an explicit assumption.
-    pub(crate) fn assumed_rate(&self) -> Option<f64> {
+    fn assumed_rate(&self) -> Option<f64> {
         self.cfg.assumed_noise.or(match self.cfg.noise {
             Noise::Probabilistic { p, .. } => Some(p),
             _ => None,
@@ -1534,37 +1378,26 @@ impl Session {
     /// `Some(estimate)` when probing measured a flip rate whose CI
     /// lower bound exceeds the assumed rate — the misspecification
     /// trigger shared by the guard and the escalation path.
-    pub(crate) fn misspecified(&self, estimate: &Option<NoiseEstimate>) -> Option<NoiseEstimate> {
+    fn misspecified(&self, estimate: &Option<NoiseEstimate>) -> Option<NoiseEstimate> {
         let assumed = self.assumed_rate()?;
         let est = (*estimate)?;
         (est.p_lo > assumed).then_some(est)
     }
 
-    /// The re-derived repetition scale a clean-but-misspecified attempt
-    /// escalates to — `None` unless the session adapts
-    /// ([`AdaptPolicy::Escalate`]) and the trigger tripped. Planning is
-    /// for the worst rate the probes still deem plausible (the CI upper
-    /// bound), capped away from the `1/2` singularity. Shared with the
-    /// serving plane, which meters its requests itself.
-    pub(crate) fn escalation_scale(&self, estimate: &Option<NoiseEstimate>) -> Option<f64> {
-        if self.cfg.adapt != Some(AdaptPolicy::Escalate) {
-            return None;
-        }
-        let est = self.misspecified(estimate)?;
-        let p_adapt = est.p_hi.min(ADAPT_RATE_CAP);
-        Some(noise_scale_for(p_adapt))
-    }
-
     /// Decides whether a finished first attempt must be escalated:
     /// requires [`AdaptPolicy::Escalate`], a *clean* attempt (a failed,
-    /// killed or over-budget run surfaces its own error instead), and a
-    /// tripped misspecification trigger. Returns the re-derived scale
-    /// and the budget the second attempt may still spend.
+    /// killed, starved or over-budget run surfaces its own error
+    /// instead), and a tripped misspecification trigger. Returns the
+    /// re-derived scale — planned for the worst rate the probes still
+    /// deem plausible (the CI upper bound), capped away from the `1/2`
+    /// singularity — and the budget the second attempt may still spend.
     fn escalation(&self, m: &Meters) -> Option<(f64, Option<u64>)> {
-        if m.failed.is_some() || m.killed || m.exceeded {
+        let clean = m.failed.is_none() && !m.killed && m.starved.is_none() && !m.exceeded;
+        if self.cfg.adapt != Some(AdaptPolicy::Escalate) || !clean {
             return None;
         }
-        let scale = self.escalation_scale(&m.estimate)?;
+        let est = self.misspecified(&m.estimate)?;
+        let scale = noise_scale_for(est.p_hi.min(ADAPT_RATE_CAP));
         let remaining = self.cfg.budget.map(|b| b.saturating_sub(m.queries));
         Some((scale, remaining))
     }
@@ -1641,25 +1474,17 @@ impl Session {
             None => HierParams::experimental(linkage),
         };
         params.search.rounds = scale_rounds(params.search.rounds, scale);
-        params.scaffold = self.cfg.scaffold;
         params
     }
 
-    fn finish(
-        &self,
-        answer: Answer,
-        m: Meters,
-        ctx: RunCtx,
-        partial: Option<PartialOutcome>,
-        adaptations: u32,
-        guard: bool,
-    ) -> Result<Outcome, NcoError> {
+    fn finish(&self, answer: Answer, m: Meters, ctx: RunCtx) -> Result<Outcome, NcoError> {
         // Failure precedence: a fault that outlived the retry policy
         // trumps the kill flag (the oracle was broken, not merely slow),
-        // a kill trumps the budget flag (whichever fired first, the
-        // kill is what stopped the run from recovering), and both trump
-        // the misspecification guard (a killed run's estimate is
-        // incidental; its real failure is the kill).
+        // a kill trumps the budget flags (whichever fired first, the
+        // kill is what stopped the run from recovering), a serving
+        // pool's refusal is reported before the per-run budget, and all
+        // of them trump the misspecification guard (a killed run's
+        // estimate is incidental; its real failure is the kill).
         if let Some(attempts) = m.failed {
             return Err(NcoError::OracleFailed {
                 queries_spent: m.queries,
@@ -1670,7 +1495,6 @@ impl Session {
         let report = RunReport {
             queries: m.queries,
             rounds: m.rounds,
-            memo_hits: m.memo_hits,
             cache_entries,
             // The run's own contribution: end-of-run fill minus the
             // fill captured when the run started. (On an engine with
@@ -1683,22 +1507,31 @@ impl Session {
             merge_plane: m.merge_plane,
             observed_flip_rate: m.estimate.map(|e| e.p_hat),
             probes: m.probes,
-            adaptations,
+            adaptations: m.adaptations,
         };
+        let partial = m.partial;
         if m.killed {
             return Err(NcoError::DeadlineExceeded {
                 report: Box::new(report),
                 partial,
             });
         }
-        if m.exceeded {
+        // A pool refusal reports the pool's cap; a per-run trip, the
+        // run's own budget.
+        let budget = m.starved.or_else(|| {
+            m.exceeded
+                .then(|| self.cfg.budget.expect("exceeded implies a budget"))
+        });
+        if let Some(budget) = budget {
             return Err(NcoError::BudgetExceeded {
-                budget: self.cfg.budget.expect("exceeded implies a budget"),
+                budget,
                 report: Box::new(report),
                 partial,
             });
         }
-        if guard {
+        // The guard never fires on an adapted run: the escalated re-run
+        // already answered the misspecification.
+        if m.adaptations == 0 {
             if let Some(est) = self.misspecified(&m.estimate) {
                 return Err(NcoError::NoiseMisspecified {
                     assumed: self.assumed_rate().expect("trigger implies an assumption"),
@@ -1721,47 +1554,72 @@ fn scale_rounds(rounds: usize, scale: f64) -> usize {
     ((rounds as f64 * scale).ceil() as usize).max(rounds)
 }
 
-/// End-of-run meter readings from the per-run oracle chain, gathered by
-/// the drive paths and folded into a [`RunReport`] (or a typed failure)
-/// by [`Session::finish`].
-struct Meters {
+/// The per-run oracle chain, inside out: faults are injected right on
+/// the raw oracle, the budget/deadline meter bills every ask (faulted or
+/// not), retry re-enters the meter on every re-ask of a faulted lane,
+/// and the probe plane sits outermost so its probe triangles are billed,
+/// budgeted and fault-masked like real queries. With no fault plan and
+/// no probing the chain is fully transparent — bit-identical answers and
+/// meters to wiring the budget alone.
+type Chain<O> = ProbeOracle<Retrying<Budgeted<FaultyOracle<O>>>>;
+
+/// One engine pass's meter readings plus what the engine left behind
+/// (clean-progress partial, merge plane), folded into a [`RunReport`]
+/// or a typed failure by [`Session::finish`]. Solo runs and the serving
+/// plane fill it the same way.
+#[derive(Default)]
+pub(crate) struct Meters {
     queries: u64,
     rounds: u64,
     exceeded: bool,
     killed: bool,
     /// `Some(attempt bound)` when a fault outlived the retry policy.
-    failed: Option<u32>,
-    memo_hits: Option<u64>,
+    pub(crate) failed: Option<u32>,
+    /// `Some(pool cap)` when a serving plane's pooled budget refused
+    /// the run a reservation (`None` on solo runs).
+    pub(crate) starved: Option<u64>,
     /// The probe plane's flip-rate estimate, when probing completed at
     /// least one triangle.
     estimate: Option<NoiseEstimate>,
     /// Billed probe queries (`Some` iff probing was enabled).
-    probes: Option<u64>,
-    merge_plane: Option<MergePlaneStats>,
+    pub(crate) probes: Option<u64>,
+    pub(crate) merge_plane: Option<MergePlaneStats>,
+    pub(crate) partial: Option<PartialOutcome>,
+    /// Escalated re-runs folded into these readings.
+    adaptations: u32,
 }
 
 impl Meters {
+    /// Reads the budget meter and the probe plane of a finished pass.
+    pub(crate) fn read<P, B>(
+        &mut self,
+        probe: &ProbeOracle<P>,
+        probing: bool,
+        meter: &Budgeted<B>,
+    ) {
+        self.queries = meter.queries();
+        self.rounds = meter.rounds();
+        self.exceeded = meter.exceeded();
+        self.killed = meter.killed();
+        self.estimate = probe.estimate();
+        self.probes = probing.then(|| probe.stats().probes);
+    }
+
     /// Folds an escalated re-run's meters onto the discarded first
     /// attempt's: spend accumulates, state (kill/budget/fault flags,
-    /// merge plane) comes from the attempt that produced the answer,
-    /// and the estimate prefers the re-run's fresher probes.
+    /// merge plane, partial) comes from the attempt that produced the
+    /// answer, and the estimate prefers the re-run's fresher probes.
     fn accumulated(first: Meters, second: Meters) -> Meters {
         Meters {
             queries: first.queries + second.queries,
             rounds: first.rounds + second.rounds,
-            exceeded: second.exceeded,
-            killed: second.killed,
-            failed: second.failed,
-            memo_hits: match (first.memo_hits, second.memo_hits) {
-                (Some(a), Some(b)) => Some(a + b),
-                (a, b) => a.or(b),
-            },
             estimate: second.estimate.or(first.estimate),
             probes: match (first.probes, second.probes) {
                 (Some(a), Some(b)) => Some(a + b),
                 (a, b) => a.or(b),
             },
-            merge_plane: second.merge_plane,
+            adaptations: first.adaptations + second.adaptations + 1,
+            ..second
         }
     }
 }
@@ -2012,21 +1870,6 @@ mod tests {
     }
 
     #[test]
-    fn memo_size_cap_applies_to_value_sessions() {
-        let err = Session::builder()
-            .values(vec![0.0; (1 << 16) + 1])
-            .memoize(true)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, NcoError::InvalidParams { .. }));
-        assert!(Session::builder()
-            .values(vec![0.0; 64])
-            .memoize(true)
-            .build()
-            .is_ok());
-    }
-
-    #[test]
     fn budget_exceeded_is_an_error_not_a_panic() {
         let s = Session::builder()
             .points(&square_points(32))
@@ -2144,8 +1987,7 @@ mod tests {
         let run = |probe: Option<f64>| {
             let mut b = Session::builder()
                 .points(&square_points(24))
-                .noise(Noise::Probabilistic { p: 0.3, seed: 2 })
-                .memoize(true);
+                .noise(Noise::Probabilistic { p: 0.3, seed: 2 });
             if let Some(rate) = probe {
                 b = b.probe_noise(rate);
             }

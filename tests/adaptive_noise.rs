@@ -23,23 +23,15 @@ fn grid(n: usize) -> Vec<Vec<f64>> {
 /// The report fields a probe layer is allowed to change (`queries`,
 /// `rounds`, `probes`, `observed_flip_rate`) plus the ones it must not —
 /// one comparable bundle for bit-identity pins.
-fn fingerprint(o: &Outcome) -> (Option<usize>, u64, u64, Option<u64>, Option<u64>, u32) {
+fn fingerprint(o: &Outcome) -> (Option<usize>, u64, u64, Option<u64>, u32) {
     let RunReport {
         queries,
         rounds,
-        memo_hits,
         probes,
         adaptations,
         ..
     } = o.report;
-    (
-        o.answer.item(),
-        queries,
-        rounds,
-        memo_hits,
-        probes,
-        adaptations,
-    )
+    (o.answer.item(), queries, rounds, probes, adaptations)
 }
 
 // ---------------------------------------------------------------------

@@ -167,43 +167,6 @@ fn theorem_5_2_per_merge_bound_holds_on_the_scaffold_plane() {
     );
 }
 
-/// The facade knob routes through: a `scaffold_search(true)` hierarchy
-/// session is bit-identical to a hand-wired scaffolded
-/// `hier_oracle_stats` call, bills the same queries, and surfaces the
-/// scaffold counters in `RunReport::merge_plane`.
-#[test]
-fn session_scaffold_knob_matches_direct_call_and_reports_counters() {
-    use noisy_oracle::metric::EuclideanMetric;
-    use noisy_oracle::oracle::probabilistic::ProbQuadOracle;
-    use noisy_oracle::{Noise, Session, Task};
-    let s = MetricScenario::separated_blobs(4, 10, 30.0, 0x1AC9);
-    let metric: EuclideanMetric = s.metric.clone();
-    for (linkage, seed) in [(Linkage::Single, 3u64), (Linkage::Complete, 4u64)] {
-        let session = Session::builder()
-            .metric(noisy_oracle::data::AnyMetric::Euclidean(metric.clone()))
-            .noise(Noise::Probabilistic {
-                p: 0.05,
-                seed: 4000 + seed,
-            })
-            .scaffold_search(true)
-            .seed(seed)
-            .build()
-            .unwrap();
-        let outcome = session.run(Task::Hierarchy { linkage }).unwrap();
-        let mut oracle = Counting::new(ProbQuadOracle::new(metric.clone(), 0.05, 4000 + seed));
-        let (dend, stats) = hier_oracle_stats(
-            &HierParams::experimental(linkage).scaffolded(),
-            &mut oracle,
-            &mut rng(seed),
-        );
-        assert_eq!(outcome.answer.dendrogram(), Some(&dend), "{linkage:?}");
-        assert_eq!(outcome.report.queries, oracle.queries(), "{linkage:?}");
-        let plane = outcome.report.merge_plane.expect("hierarchy reports plane");
-        assert_eq!(plane, stats, "{linkage:?}");
-        assert!(plane.scaffold_hits > 0, "{linkage:?}: {plane:?}");
-    }
-}
-
 /// The plane stays opt-in: every constructor leaves `scaffold` off, so
 /// default-path transcripts (and the byte-stable query counts `perfsuite`
 /// pins for them) cannot change under this PR.

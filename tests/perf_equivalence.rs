@@ -487,62 +487,3 @@ mod dist_cache_equivalence {
         }
     }
 }
-
-/// Round accounting is exact under memoisation: `RunReport.rounds` for a
-/// memoised run equals the plain run's count (the memo used to decompose
-/// rounds into scalar lookups, reading 0).
-mod round_accounting {
-    use nco_core::hier::Linkage;
-    use noisy_oracle::{Noise, Session, Task};
-
-    #[test]
-    fn memoised_sessions_report_the_same_rounds_as_plain_across_20_seeds() {
-        let points: Vec<Vec<f64>> = (0..48)
-            .map(|i| vec![(i % 7) as f64 * 1.9, (i / 7) as f64])
-            .collect();
-        for seed in 0..20u64 {
-            for task in [
-                Task::Hierarchy {
-                    linkage: Linkage::Single,
-                },
-                Task::KCenter { k: 4 },
-                Task::Farthest {
-                    q: seed as usize % 48,
-                },
-            ] {
-                let build = |memo: bool| {
-                    Session::builder()
-                        .points(&points)
-                        .noise(Noise::Probabilistic {
-                            p: 0.15,
-                            seed: 9000 + seed,
-                        })
-                        .memoize(memo)
-                        .seed(seed)
-                        .build()
-                        .unwrap()
-                };
-                let plain = build(false).run(task).unwrap();
-                let memo = build(true).run(task).unwrap();
-                assert_eq!(
-                    plain.answer, memo.answer,
-                    "answer differs at seed {seed}, {task:?}"
-                );
-                assert_eq!(
-                    plain.report.rounds, memo.report.rounds,
-                    "round totals differ at seed {seed}, {task:?}"
-                );
-                if matches!(task, Task::Hierarchy { .. }) {
-                    assert!(
-                        plain.report.rounds > 0,
-                        "hierarchy runs are round-driven (seed {seed})"
-                    );
-                    assert!(
-                        memo.report.memo_hits.unwrap() > 0,
-                        "repeats should hit the memo (seed {seed})"
-                    );
-                }
-            }
-        }
-    }
-}

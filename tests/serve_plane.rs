@@ -15,8 +15,12 @@
 //!    with concurrent `submit`s and other shutdowns; the pooled budget
 //!    stays consistent even when reservers die mid-round.
 
+use std::time::Duration;
+
 use nco_core::hier::Linkage;
-use noisy_oracle::{NcoError, Noise, Request, Server, Session, Task};
+use noisy_oracle::{
+    NcoError, Noise, Outcome, PartialOutcome, Request, Server, Session, SessionBuilder, Task,
+};
 
 fn grid_points(n: usize) -> Vec<Vec<f64>> {
     (0..n)
@@ -392,17 +396,82 @@ fn per_request_budget_still_fails_typed() {
     }
 }
 
+/// The comparable part of a failed run: the error variant plus the
+/// report's bill and the partial outcome (wall times differ by design).
+type FailurePrint = (
+    &'static str,
+    u64,
+    u64,
+    Option<u64>,
+    u32,
+    Option<PartialOutcome>,
+);
+
+fn failure_print(result: Result<Outcome, NcoError>) -> FailurePrint {
+    let (kind, report, partial) = match result {
+        Err(NcoError::BudgetExceeded {
+            report, partial, ..
+        }) => ("budget", report, partial),
+        Err(NcoError::DeadlineExceeded { report, partial }) => ("deadline", report, partial),
+        Err(NcoError::NoiseMisspecified { report, .. }) => ("misspecified", report, None),
+        other => panic!("expected a failure carrying a report, got {other:?}"),
+    };
+    (
+        kind,
+        report.queries,
+        report.rounds,
+        report.probes,
+        report.adaptations,
+        partial,
+    )
+}
+
+/// Served and solo runs leave through the same exit: a mid-run budget
+/// trip, an expired deadline and a misspecification-guard trip return
+/// the solo run's error variant, bill and partial from a one-worker
+/// server that degrades to partials.
+#[test]
+fn served_failures_match_solo_errors_and_partials() {
+    let base = || {
+        Session::builder()
+            .points(&grid_points(40))
+            .noise(Noise::Probabilistic { p: 0.25, seed: 31 })
+            .cache_distances(true)
+            .seed(6)
+    };
+    let task = Task::KCenter { k: 4 };
+    let clean = base().build().unwrap().run(task).unwrap().report.queries;
+    let cases: [(&str, SessionBuilder); 3] = [
+        ("budget", base().budget(clean / 2)),
+        ("deadline", base().deadline(Duration::ZERO)),
+        (
+            "misspecified",
+            base().probe_noise(0.2).assume_noise_rate(0.01),
+        ),
+    ];
+    for (kind, builder) in cases {
+        let template = builder.build().unwrap();
+        let solo = failure_print(template.run(task));
+        let server = Server::builder(template)
+            .workers(1)
+            .degrade_to_partials(true)
+            .build()
+            .unwrap();
+        let served = failure_print(server.submit(Request { task, seed: 6 }).unwrap().join());
+        let stats = server.shutdown();
+        assert_eq!(solo.0, kind, "{kind}: solo failed differently");
+        assert_eq!(served, solo, "{kind}: served failure differs from solo");
+        if kind != "misspecified" {
+            assert!(solo.5.is_some(), "{kind}: killed runs carry a partial");
+            assert_eq!(stats.partial_completions, 1, "{kind}");
+        }
+        assert_eq!(stats.deadline_kills, u64::from(kind == "deadline"));
+        assert_eq!(stats.misspecifications, u64::from(kind == "misspecified"));
+    }
+}
+
 #[test]
 fn server_builder_rejects_unsupported_templates() {
-    let memo = Session::builder()
-        .points(&grid_points(8))
-        .memoize(true)
-        .build()
-        .unwrap();
-    assert!(matches!(
-        Server::builder(memo).build(),
-        Err(NcoError::InvalidParams { .. })
-    ));
     let zero_workers = Server::builder(metric_template(8)).workers(0).build();
     assert!(matches!(zero_workers, Err(NcoError::InvalidParams { .. })));
     let zero_queue = Server::builder(metric_template(8)).queue(0).build();

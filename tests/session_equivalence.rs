@@ -566,42 +566,3 @@ fn budget_fires_deterministically_at_the_cap() {
         Err(NcoError::BudgetExceeded { .. })
     ));
 }
-
-/// Memoised sessions bill like `Counting<MemoOracle<_>>` — hits are free,
-/// misses are queries — and still return the direct call's answers.
-#[test]
-fn memoised_sessions_match_memoised_direct_calls() {
-    use noisy_oracle::oracle::MemoOracle;
-    let vals = values(80);
-    for seed in 0..5u64 {
-        let noise_seed = 6000 + seed;
-        let session = Session::builder()
-            .values(vals.clone())
-            .noise(Noise::Probabilistic {
-                p: P,
-                seed: noise_seed,
-            })
-            .memoize(true)
-            .seed(seed)
-            .build()
-            .unwrap();
-        let outcome = session.run(Task::Max).unwrap();
-        // The repo's memoisation idiom: memo outside, meter inside —
-        // hits are free, only real oracle queries count.
-        let mut oracle = MemoOracle::new(Counting::new(ProbValueOracle::new(
-            vals.clone(),
-            P,
-            noise_seed,
-        )));
-        let items: Vec<usize> = (0..vals.len()).collect();
-        let best = max_prob(
-            &items,
-            &ProbParams::default(),
-            &mut ValueCmp::new(&mut oracle),
-            &mut StdRng::seed_from_u64(seed),
-        );
-        assert_eq!(outcome.answer.item(), best);
-        assert_eq!(outcome.report.memo_hits, Some(oracle.hits()));
-        assert_eq!(outcome.report.queries, oracle.inner().queries());
-    }
-}
