@@ -21,6 +21,14 @@
 //! workers) needs no locks: racing
 //! writers store identical bits, and relaxed ordering suffices because
 //! the value is determined by the key alone.
+//!
+//! An exact fill counter sits next to the slots, so
+//! [`DistCache::filled`] is one load rather than a scan of every slot.
+//! A miss publishes its distance with `compare_exchange(UNSET, bits)`,
+//! and only the writer whose exchange succeeds bumps the counter: when
+//! several threads race to fill the same pair, all of them compute the
+//! same bits, exactly one moves the slot out of `UNSET`, and the pair
+//! counts once.
 
 use crate::Metric;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,6 +46,9 @@ pub struct DistCache {
     /// replaces the two multiplies of the closed-form triangular index on
     /// the per-query hot path.
     row_off: Vec<usize>,
+    /// Slots moved out of `UNSET` so far; bumped only by the writer whose
+    /// `compare_exchange` fills the slot, so it equals the set-slot count.
+    filled: AtomicU64,
 }
 
 impl DistCache {
@@ -51,7 +62,12 @@ impl DistCache {
         let row_off = (0..n)
             .map(|i| (i * n - i * (i + 1) / 2).wrapping_sub(i + 1))
             .collect();
-        Self { n, slots, row_off }
+        Self {
+            n,
+            slots,
+            row_off,
+            filled: AtomicU64::new(0),
+        }
     }
 
     /// Number of points the cache covers.
@@ -86,31 +102,46 @@ impl DistCache {
             d.is_finite() && d >= 0.0,
             "metric produced an uncacheable distance {d}"
         );
-        slot.store(d.to_bits(), Ordering::Relaxed);
+        // A racing writer may have filled the slot since the load above;
+        // it stored these same bits, and only the winner counts the pair.
+        if slot
+            .compare_exchange(UNSET, d.to_bits(), Ordering::Relaxed, Ordering::Relaxed)
+            .is_ok()
+        {
+            self.filled.fetch_add(1, Ordering::Relaxed);
+        }
         d
     }
 
-    /// How many pairs have been evaluated so far (O(n²) scan; statistics
-    /// and tests only).
+    /// How many distinct pairs have been evaluated so far: an exact
+    /// counter read in O(1). Each pair counts once, however many threads
+    /// raced to fill it. While other threads are still filling, the value
+    /// is a snapshot that may trail their latest inserts.
     pub fn filled(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.load(Ordering::Relaxed) != UNSET)
-            .count()
+        self.filled.load(Ordering::Relaxed) as usize
     }
 }
 
 impl Clone for DistCache {
     fn clone(&self) -> Self {
+        // Count what was actually copied: slots filled concurrently with
+        // the clone may or may not make it in, and the copy's counter
+        // must match its own table.
+        let mut filled = 0u64;
         let slots = self
             .slots
             .iter()
-            .map(|s| AtomicU64::new(s.load(Ordering::Relaxed)))
+            .map(|s| {
+                let bits = s.load(Ordering::Relaxed);
+                filled += u64::from(bits != UNSET);
+                AtomicU64::new(bits)
+            })
             .collect();
         Self {
             n: self.n,
             slots,
             row_off: self.row_off.clone(),
+            filled: AtomicU64::new(filled),
         }
     }
 }
@@ -244,6 +275,84 @@ mod tests {
         let copy = cached.clone();
         assert_eq!(copy.cache().filled(), 1);
         assert_eq!(copy.dist(1, 2).to_bits(), cached.dist(1, 2).to_bits());
+    }
+
+    /// Set slots by a full O(n²) scan: the reference the counter must
+    /// match.
+    fn scanned(cache: &DistCache) -> usize {
+        cache
+            .slots
+            .iter()
+            .filter(|s| s.load(Ordering::Relaxed) != UNSET)
+            .count()
+    }
+
+    #[test]
+    fn counter_matches_scan_under_sequential_fills() {
+        let cached = CachedMetric::new(metric());
+        let cache = cached.cache();
+        for (i, j) in [(3, 7), (7, 3), (3, 7), (0, 19), (19, 0), (5, 6), (6, 5)] {
+            let _ = cached.dist(i, j);
+            assert_eq!(cache.filled(), scanned(cache), "after ({i},{j})");
+        }
+        assert_eq!(cache.filled(), 3);
+        for i in (0..20).rev() {
+            for j in 0..20 {
+                let _ = cached.dist(i, j);
+            }
+        }
+        assert_eq!(cache.filled(), scanned(cache));
+        assert_eq!(cache.filled(), 20 * 19 / 2);
+    }
+
+    #[test]
+    fn racing_fills_of_the_same_pairs_count_once() {
+        const THREADS: usize = 4;
+        let raw = metric();
+        let cache = DistCache::new(raw.len());
+        let pairs: Vec<(usize, usize)> = (0..20)
+            .flat_map(|i| (i + 1..20).map(move |j| (i, j)))
+            .filter(|&(i, j)| (i * j) % 3 != 0)
+            .collect();
+        // Every thread walks the same distinct pairs in the same order
+        // (half of them flipped), and every miss waits at a barrier
+        // before it publishes. No slot is filled until all threads have
+        // missed it, so each pair is computed and written by all four.
+        let all_missed = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (raw, cache, pairs, all_missed) = (&raw, &cache, &pairs, &all_missed);
+                scope.spawn(move || {
+                    for &(i, j) in pairs {
+                        let (i, j) = if t % 2 == 0 { (i, j) } else { (j, i) };
+                        let d = cache.get_or_compute(i, j, || {
+                            all_missed.wait();
+                            raw.dist(i, j)
+                        });
+                        assert_eq!(d.to_bits(), raw.dist(i, j).to_bits());
+                    }
+                });
+            }
+        });
+        assert_eq!(cache.filled(), pairs.len());
+        assert_eq!(cache.filled(), scanned(&cache));
+    }
+
+    #[test]
+    fn clone_carries_an_exact_independent_count() {
+        let cached = CachedMetric::new(metric());
+        let _ = cached.dist(1, 2);
+        let _ = cached.dist(4, 9);
+        let copy = cached.clone();
+        assert_eq!(copy.cache().filled(), 2);
+        assert_eq!(copy.cache().filled(), scanned(copy.cache()));
+        let _ = copy.dist(2, 1); // already copied: no new slot
+        let _ = copy.dist(0, 5);
+        let _ = copy.dist(8, 3);
+        assert_eq!(copy.cache().filled(), 4);
+        assert_eq!(copy.cache().filled(), scanned(copy.cache()));
+        assert_eq!(cached.cache().filled(), 2);
+        assert_eq!(cached.cache().filled(), scanned(cached.cache()));
     }
 
     #[test]

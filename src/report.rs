@@ -31,8 +31,11 @@ pub struct RunReport {
     /// Distances **this run** added to the engine's shared `DistCache`
     /// (`None` when distance caching is off): the end-of-run
     /// [`Self::cache_entries`] minus the entries already materialised
-    /// when the run started. Per-request attributable, unlike the
-    /// engine-level total.
+    /// when the run started. Exact when no other run on the same engine
+    /// overlaps this one, so sequential runs' figures sum to the engine
+    /// total. When runs overlap (e.g. on a 2-worker `Server`), inserts
+    /// made by the others inside this run's window count too: the figure
+    /// is then an upper bound on this run's own inserts.
     pub cache_added: Option<u64>,
     /// Wall-clock time of the run.
     pub wall: Duration,

@@ -254,7 +254,7 @@ impl Engine {
 
     /// Distinct distances currently materialised in the engine's shared
     /// cache (`None` when distance caching is off or the engine holds
-    /// raw values).
+    /// raw values). O(1): one read of the cache's exact fill counter.
     pub fn cache_entries(&self) -> Option<u64> {
         match &self.source {
             Source::Metric(MetricStore::Cached(c)) => Some(c.cache().filled() as u64),
@@ -1497,10 +1497,12 @@ impl Session {
             rounds: m.rounds,
             cache_entries,
             // The run's own contribution: end-of-run fill minus the
-            // fill captured when the run started. (On an engine with
-            // concurrent sessions the window can attribute a racing
-            // insert to whichever run read the counter later — the
-            // counts still sum to the engine total.)
+            // fill captured when the run started. Exact when no other run
+            // on this engine overlaps the window. Overlapping runs (a
+            // multi-worker `Server`, concurrent sessions) each count every
+            // insert made inside their window, their own and the others',
+            // so each figure is an upper bound on the run's own inserts
+            // and the figures can sum to more than the engine total.
             cache_added: cache_entries.map(|e| e.saturating_sub(ctx.cache_start.unwrap_or(0))),
             wall: ctx.start.elapsed(),
             budget: self.cfg.budget,

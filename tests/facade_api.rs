@@ -132,6 +132,44 @@ fn readme_session_front_door() {
     assert!(engine.cache_entries().unwrap() > 0);
 }
 
+/// On one cached engine, sequential runs' `cache_added` figures chain
+/// exactly: each report's `cache_entries` is the previous one plus its own
+/// `cache_added`, and the figures sum to the engine's final fill.
+#[test]
+fn sequential_runs_cache_added_sums_to_engine_total() {
+    use noisy_oracle::{Engine, Noise, Session, Task};
+
+    let engine = Engine::from_dataset(&caltech(120, 4), true);
+    assert_eq!(engine.cache_entries(), Some(0));
+    let tasks = [
+        Task::Farthest { q: 0 },
+        Task::KCenter { k: 5 },
+        Task::Nearest { q: 17 },
+        Task::Farthest { q: 0 },
+        Task::Hierarchy {
+            linkage: Linkage::Single,
+        },
+        Task::KCenter { k: 9 },
+    ];
+    let (mut previous, mut added_total) = (0u64, 0u64);
+    for (seed, task) in tasks.into_iter().enumerate() {
+        let session = Session::builder()
+            .engine(engine.clone())
+            .noise(Noise::Probabilistic { p: 0.1, seed: 3 })
+            .seed(seed as u64)
+            .build()
+            .unwrap();
+        let report = session.run(task).unwrap().report;
+        let (entries, added) = (report.cache_entries.unwrap(), report.cache_added.unwrap());
+        assert_eq!(entries, previous + added, "{task:?}");
+        assert_eq!(entries, engine.cache_entries().unwrap(), "{task:?}");
+        previous = entries;
+        added_total += added;
+    }
+    assert!(added_total > 0);
+    assert_eq!(added_total, engine.cache_entries().unwrap());
+}
+
 #[test]
 fn min_and_rev_are_consistent() {
     let metric = EuclideanMetric::from_points(&(0..40).map(|i| vec![i as f64]).collect::<Vec<_>>());
