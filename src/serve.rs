@@ -3,20 +3,16 @@
 //! A [`Server`] is an async-style front door over an immutable
 //! [`crate::Engine`]: callers [`submit`](Server::submit) typed
 //! [`Request`]s and get [`TaskHandle`]s back; a small worker pool drains
-//! the queue. Three mechanisms make concurrent serving cheaper than
+//! the queue. Two mechanisms make concurrent serving cheaper than
 //! running the same requests one by one:
 //!
-//! * **Cross-request batching** — every worker routes its oracle rounds
-//!   through a group-commit [`Coalescer`]: rounds from *different*
-//!   concurrent requests are combined into one `le_batch` call against a
-//!   single shared backend oracle, instead of each run amortising only
-//!   its own rounds.
-//! * **A shared exact answer memo** — the backend is a
-//!   [`MemoOracle`] over the session's (persistent) noise model, so a
-//!   query any request has asked before is answered for free, across
-//!   requests. Per-request accounting is unchanged: each request bills
-//!   the queries and rounds *it issued*, exactly as a solo
-//!   [`crate::Session::run`] would (pinned in `tests/serve_plane.rs`).
+//! * **A shared exact answer memo** — every request's oracle rounds go
+//!   straight to one shared backend, a [`MemoOracle`] over the
+//!   session's (persistent) noise model, so a query any request has
+//!   asked before is answered for free, across requests. Per-request
+//!   accounting is unchanged: each request bills the queries and rounds
+//!   *it issued*, exactly as a solo [`crate::Session::run`] would
+//!   (pinned in `tests/serve_plane.rs`).
 //! * **Budget pooling with admission control** — an optional
 //!   [`BudgetPool`] caps the total queries the server will issue across
 //!   all requests. Admission is all-or-nothing per round: a refused
@@ -32,8 +28,9 @@
 //! affected requests typed with [`NcoError::OracleFailed`]. Each worker
 //! runs its request under `catch_unwind`: a panicking request returns
 //! [`NcoError::Panicked`] to its submitter while the worker rejoins the
-//! pool, the coalescer aborts and re-runs any round whose leader died,
-//! and every shared lock recovers from poisoning. Per-request deadlines
+//! pool. A backend round runs on the thread of the request that issued
+//! it, so a panic inside it unwinds that request only, and every shared
+//! lock recovers from poisoning. Per-request deadlines
 //! ([`crate::SessionBuilder::deadline`] on the template) kill overdue
 //! requests with [`NcoError::DeadlineExceeded`], partial accounting
 //! preserved.
@@ -73,7 +70,7 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -94,7 +91,9 @@ use crate::task::{Answer, PartialOutcome, Task};
 /// while holding a shared lock must not wedge the rest of the plane. The
 /// guarded structures keep their invariants on unwind — the memo fills
 /// its cache only after the inner oracle returns, and the meters at
-/// worst undercount the aborted round — so the data is safe to reuse.
+/// worst over-count the aborted round (`Counting` bills, and the memo
+/// tallies its lookups, before the inner call) — so the data is safe to
+/// reuse.
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -182,137 +181,6 @@ impl ComparisonOracle for BoxedCmp {
 impl PersistentNoise for BoxedCmp {}
 
 // ---------------------------------------------------------------------
-// The group-commit round coalescer.
-// ---------------------------------------------------------------------
-
-/// Combines oracle rounds submitted by concurrent requests into shared
-/// backend `le_batch` calls (group commit): the first submitter becomes
-/// the round leader and drains *every* pending submission — including
-/// those that arrive while it is executing — until the queue is empty;
-/// followers just wait for their slice of the answers.
-///
-/// Correctness does not depend on which submissions share a backend
-/// round: the backend is an exact memo over persistent noise, so answers
-/// are a pure function of the query, and the backend's *query* tally
-/// (first occurrence of each distinct query) is the same for every
-/// possible grouping.
-struct Coalescer<Q> {
-    state: Mutex<CoalState<Q>>,
-    /// Backend rounds executed.
-    rounds: AtomicU64,
-    /// Backend rounds that combined two or more submissions.
-    coalesced: AtomicU64,
-}
-
-/// Sent to every waiter of a round whose leader panicked mid-execution:
-/// the round never produced answers and must be resubmitted.
-struct RoundAborted;
-
-/// A waiter's reply channel: its slice of the round's answers, or the
-/// abort marker telling it to resubmit.
-type RoundReply = Sender<Result<Vec<bool>, RoundAborted>>;
-
-struct CoalState<Q> {
-    pending: Vec<(Vec<Q>, RoundReply)>,
-    leader: bool,
-}
-
-/// How many aborted rounds a follower re-submits before giving up. Fault
-/// plans panic at most once per configured attempt, so in practice a
-/// single retry succeeds; the bound only guards against a backend that
-/// panics unconditionally.
-const MAX_ABORTED_ROUNDS: u32 = 32;
-
-impl<Q: Copy> Coalescer<Q> {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(CoalState {
-                pending: Vec::new(),
-                leader: false,
-            }),
-            rounds: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-        }
-    }
-
-    /// Submits one round; blocks until a leader (possibly this caller)
-    /// has executed it against the backend via `exec`. If the leader
-    /// panics inside `exec`, every waiter of the aborted round is woken
-    /// and resubmits (bounded); the panic propagates out of the leader's
-    /// own call only, so exactly the request that hit the panic dies.
-    fn submit(&self, queries: &[Q], exec: &dyn Fn(&[Q], &mut Vec<bool>)) -> Vec<bool> {
-        for _ in 0..MAX_ABORTED_ROUNDS {
-            match self.submit_once(queries, exec) {
-                Ok(answers) => return answers,
-                Err(RoundAborted) => continue,
-            }
-        }
-        panic!("coalesced round aborted {MAX_ABORTED_ROUNDS} times in a row");
-    }
-
-    fn submit_once(
-        &self,
-        queries: &[Q],
-        exec: &dyn Fn(&[Q], &mut Vec<bool>),
-    ) -> Result<Vec<bool>, RoundAborted> {
-        let (tx, rx) = mpsc::channel();
-        let mut st = relock(&self.state);
-        st.pending.push((queries.to_vec(), tx));
-        if !st.leader {
-            st.leader = true;
-            while !st.pending.is_empty() {
-                let batch = std::mem::take(&mut st.pending);
-                drop(st);
-                let total = batch.iter().map(|(q, _)| q.len()).sum();
-                let mut combined = Vec::with_capacity(total);
-                for (q, _) in &batch {
-                    combined.extend_from_slice(q);
-                }
-                let mut answers = Vec::with_capacity(total);
-                if let Err(payload) =
-                    catch_unwind(AssertUnwindSafe(|| exec(&combined, &mut answers)))
-                {
-                    // The leader dies with its own request, but first it
-                    // aborts the round cleanly: every waiter — batch and
-                    // later arrivals alike — is told to resubmit, and
-                    // leadership is released so one of them (or a fresh
-                    // submitter) can take over. Nobody is left waiting
-                    // on a leader that no longer exists.
-                    let mut st = relock(&self.state);
-                    for (_, reply) in batch {
-                        let _ = reply.send(Err(RoundAborted));
-                    }
-                    for (_, reply) in st.pending.drain(..) {
-                        let _ = reply.send(Err(RoundAborted));
-                    }
-                    st.leader = false;
-                    drop(st);
-                    resume_unwind(payload);
-                }
-                self.rounds.fetch_add(1, Ordering::Relaxed);
-                if batch.len() > 1 {
-                    self.coalesced.fetch_add(1, Ordering::Relaxed);
-                }
-                let mut offset = 0;
-                for (q, reply) in batch {
-                    let slice = answers[offset..offset + q.len()].to_vec();
-                    offset += q.len();
-                    // A follower that gave up (channel dropped) is fine.
-                    let _ = reply.send(Ok(slice));
-                }
-                st = relock(&self.state);
-            }
-            // Leadership is released under the lock with the queue empty,
-            // so every submission either saw `leader == true` and has a
-            // leader committed to draining it, or becomes the next leader.
-            st.leader = false;
-        }
-        drop(st);
-        rx.recv().unwrap_or(Err(RoundAborted))
-    }
-}
-
-// ---------------------------------------------------------------------
 // Per-request oracle adapters.
 // ---------------------------------------------------------------------
 
@@ -329,27 +197,35 @@ fn shared_backend<X: PersistentNoise>(
     raw: X,
     plan: FaultPlan,
     policy: RetryPolicy,
-) -> Arc<Mutex<Backend<X>>> {
+) -> Mutex<Backend<X>> {
     let retrying = Retrying::new(Counting::new(FaultyOracle::new(raw, plan)), policy);
-    Arc::new(Mutex::new(MemoOracle::new(retrying)))
+    Mutex::new(MemoOracle::new(retrying))
 }
 
-/// The oracle view one request has of the shared plane over backend `B`
-/// with round entries `Q`: rounds go pool admission → coalescer → shared
-/// memoised backend. Wrapped in a per-request [`Budgeted`] by the
-/// worker, so the request's own meters tick exactly as in a solo run.
-struct Served<B, Q> {
+/// The shared backend of the engine's one oracle plane: quadruplets for
+/// a metric engine, comparisons for a value engine.
+enum SharedBackend {
+    Quad(Mutex<QuadBackend>),
+    Cmp(Mutex<CmpBackend>),
+}
+
+/// The oracle view one request has of the shared plane over backend `B`:
+/// rounds go pool admission → shared memoised backend. Wrapped in a
+/// per-request [`Budgeted`] by the worker, so the request's own meters
+/// tick exactly as in a solo run.
+struct Served<'a, B> {
     n: usize,
-    backend: Arc<Mutex<B>>,
-    coalescer: Arc<Coalescer<Q>>,
-    pool: Arc<BudgetPool>,
+    backend: &'a Mutex<B>,
+    pool: &'a BudgetPool,
+    /// The server-wide count of admitted non-empty rounds.
+    rounds: &'a AtomicU64,
     /// Set once the pool refused this request a reservation; from then
     /// on the request is doomed (reported as `BudgetExceeded`) and its
     /// remaining queries get the constant refusal bit.
     starved: bool,
 }
 
-impl<B, Q: Copy> Served<B, Q> {
+impl<B> Served<'_, B> {
     /// Reserves `queries` from the pool, latching starvation on refusal.
     fn admit(&mut self, queries: u64) -> bool {
         if self.starved || !self.pool.try_reserve(queries) {
@@ -358,18 +234,24 @@ impl<B, Q: Copy> Served<B, Q> {
         !self.starved
     }
 
-    /// Answers one scalar query; scalar queries skip the coalescer —
-    /// there is nothing to combine them with.
+    /// Answers one scalar query on the shared backend.
     fn scalar(&mut self, ask: impl FnOnce(&mut B) -> bool) -> bool {
         if !self.admit(1) {
             return OVER_BUDGET_ANSWER;
         }
-        ask(&mut relock(&self.backend))
+        ask(&mut relock(self.backend))
     }
 
-    /// Submits one admitted round to the coalescer, which runs it (with
-    /// any concurrent rounds) as `exec` on the shared backend.
-    fn round(
+    /// Admits one round through the pool and runs it as `exec` on the
+    /// shared backend, which appends its answers to `out`.
+    ///
+    /// Rounds of different requests are not merged into one backend
+    /// call: the backend lock serialises execution either way, so a
+    /// merge can only save per-call overhead. A group-commit path that
+    /// did merge them (a third fewer backend calls at four workers)
+    /// took 27–35% longer end to end on a 24-request stream at three
+    /// and four workers on a 2-core host.
+    fn round<Q>(
         &mut self,
         queries: &[Q],
         out: &mut Vec<bool>,
@@ -382,15 +264,12 @@ impl<B, Q: Copy> Served<B, Q> {
             out.extend(std::iter::repeat_n(OVER_BUDGET_ANSWER, queries.len()));
             return;
         }
-        let backend = &self.backend;
-        out.extend(
-            self.coalescer
-                .submit(queries, &|qs, res| exec(&mut relock(backend), qs, res)),
-        );
+        exec(&mut relock(self.backend), queries, out);
+        self.rounds.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-impl QuadrupletOracle for Served<QuadBackend, [usize; 4]> {
+impl QuadrupletOracle for Served<'_, QuadBackend> {
     fn n(&self) -> usize {
         self.n
     }
@@ -411,7 +290,7 @@ impl QuadrupletOracle for Served<QuadBackend, [usize; 4]> {
     }
 }
 
-impl ComparisonOracle for Served<CmpBackend, (usize, usize)> {
+impl ComparisonOracle for Served<'_, CmpBackend> {
     fn n(&self) -> usize {
         self.n
     }
@@ -434,7 +313,7 @@ impl ComparisonOracle for Served<CmpBackend, (usize, usize)> {
 /// requests already doomed to fail typed — the same doomed-run argument
 /// as [`Budgeted`]'s `PersistentNoise` impl. Masked backend faults keep
 /// the purity: retries re-read the same persistent belief.
-impl<B, Q> PersistentNoise for Served<B, Q> {}
+impl<B> PersistentNoise for Served<'_, B> {}
 
 // ---------------------------------------------------------------------
 // The server.
@@ -488,11 +367,10 @@ struct ServerShared {
     queue: Mutex<ServerQueue>,
     work_ready: Condvar,
     queue_cap: usize,
-    pool: Arc<BudgetPool>,
-    quad_backend: Option<Arc<Mutex<QuadBackend>>>,
-    quad_coalescer: Arc<Coalescer<[usize; 4]>>,
-    cmp_backend: Option<Arc<Mutex<CmpBackend>>>,
-    cmp_coalescer: Arc<Coalescer<(usize, usize)>>,
+    pool: BudgetPool,
+    backend: SharedBackend,
+    /// Admitted non-empty rounds run on the backend.
+    backend_rounds: AtomicU64,
     /// Attach best-effort partial answers to killed requests' typed
     /// errors ([`ServerBuilder::degrade_to_partials`]).
     degrade: bool,
@@ -573,14 +451,14 @@ impl ServerShared {
     /// finishers included — conservative by design) is failed typed
     /// rather than given poisoned answers.
     fn backend(&self) -> BackendMeters {
-        match (&self.quad_backend, &self.cmp_backend) {
-            (Some(b), _) => BackendMeters::read(b),
-            (_, Some(b)) => BackendMeters::read(b),
-            _ => unreachable!("every engine has exactly one backend plane"),
+        match &self.backend {
+            SharedBackend::Quad(b) => BackendMeters::read(b),
+            SharedBackend::Cmp(b) => BackendMeters::read(b),
         }
     }
 
-    /// Runs one engine attempt for `task` on the engine's backend plane.
+    /// Runs one engine attempt for `task` on the engine's backend plane
+    /// (`validate()` already matched the task to the engine).
     fn attempt(
         &self,
         session: &Session,
@@ -589,64 +467,48 @@ impl ServerShared {
         budget: Option<u64>,
         ctx: &RunCtx,
     ) -> Result<(Answer, Meters), NcoError> {
-        if task.needs_values() {
-            let backend = self
-                .cmp_backend
-                .as_ref()
-                .expect("validate() gated value tasks on a value engine");
-            self.served_attempt(
-                session,
-                backend,
-                &self.cmp_coalescer,
-                budget,
-                ctx,
-                |o, p, pl| session.value_task(task, o, scale, p, pl),
-            )
-        } else {
-            let backend = self
-                .quad_backend
-                .as_ref()
-                .expect("validate() gated metric tasks on a metric engine");
-            self.served_attempt(
-                session,
-                backend,
-                &self.quad_coalescer,
-                budget,
-                ctx,
-                |o, p, pl| session.quad_task(task, o, scale, p, pl),
-            )
+        match &self.backend {
+            SharedBackend::Cmp(backend) => {
+                self.served_attempt(session, backend, budget, ctx, |o, p, pl| {
+                    session.value_task(task, o, scale, p, pl)
+                })
+            }
+            SharedBackend::Quad(backend) => {
+                self.served_attempt(session, backend, budget, ctx, |o, p, pl| {
+                    session.quad_task(task, o, scale, p, pl)
+                })
+            }
         }
     }
 
     /// One engine pass over a fresh per-request oracle chain: served
-    /// backend view (pool admission → coalescer → shared memoised
-    /// backend) → per-request [`Budgeted`] (budget/deadline/cancel) →
-    /// outermost [`ProbeOracle`] injecting the session's per-seed probe
+    /// backend view (pool admission → shared memoised backend) →
+    /// per-request [`Budgeted`] (budget/deadline/cancel) → outermost
+    /// [`ProbeOracle`] injecting the session's per-seed probe
     /// plan into the live stream. Probes are billed like every other
     /// query — through the request's budget, the pool, and the shared
     /// backend alike. The backend's failure latch is read into the
     /// meters here, before the escalation decision and the exit see it.
-    fn served_attempt<B, Q, R>(
+    fn served_attempt<B, R>(
         &self,
         session: &Session,
-        backend: &Arc<Mutex<B>>,
-        coalescer: &Arc<Coalescer<Q>>,
+        backend: &Mutex<B>,
         budget: Option<u64>,
         ctx: &RunCtx,
         run: R,
     ) -> Result<(Answer, Meters), NcoError>
     where
         R: FnOnce(
-            &mut ProbeOracle<Budgeted<Served<B, Q>>>,
+            &mut ProbeOracle<Budgeted<Served<'_, B>>>,
             &mut Option<PartialOutcome>,
             &mut Option<MergePlaneStats>,
         ) -> Result<Answer, NcoError>,
     {
         let served = Served {
             n: session.engine().n(),
-            backend: Arc::clone(backend),
-            coalescer: Arc::clone(coalescer),
-            pool: Arc::clone(&self.pool),
+            backend,
+            pool: &self.pool,
+            rounds: &self.backend_rounds,
             starved: false,
         };
         let probe = session.probe_plan();
@@ -716,10 +578,8 @@ impl ServerShared {
             shed: self.shed.load(Ordering::Relaxed),
             backend_queries: backend.queries,
             memo_hits: backend.memo_hits,
-            backend_rounds: self.quad_coalescer.rounds.load(Ordering::Relaxed)
-                + self.cmp_coalescer.rounds.load(Ordering::Relaxed),
-            coalesced_rounds: self.quad_coalescer.coalesced.load(Ordering::Relaxed)
-                + self.cmp_coalescer.coalesced.load(Ordering::Relaxed),
+            backend_rounds: self.backend_rounds.load(Ordering::Relaxed),
+            coalesced_rounds: 0,
             pool_spent: self.pool.spent(),
             pool_cap: self.pool.cap(),
             retries: backend.retries,
@@ -799,12 +659,19 @@ impl ServerBuilder {
         }
         let plan = cfg.fault_plan.unwrap_or_else(FaultPlan::none);
         let policy = cfg.retry.unwrap_or_default();
-        let quad_backend = engine
-            .has_metric()
-            .then(|| shared_backend(BoxedQuad(self.template.boxed_quad_backend()), plan, policy));
-        let cmp_backend = engine
-            .has_values()
-            .then(|| shared_backend(BoxedCmp(self.template.boxed_cmp_backend()), plan, policy));
+        let backend = if engine.has_metric() {
+            SharedBackend::Quad(shared_backend(
+                BoxedQuad(self.template.boxed_quad_backend()),
+                plan,
+                policy,
+            ))
+        } else {
+            SharedBackend::Cmp(shared_backend(
+                BoxedCmp(self.template.boxed_cmp_backend()),
+                plan,
+                policy,
+            ))
+        };
         let shared = Arc::new(ServerShared {
             template: self.template,
             queue: Mutex::new(ServerQueue {
@@ -813,11 +680,9 @@ impl ServerBuilder {
             }),
             work_ready: Condvar::new(),
             queue_cap: self.queue_cap,
-            pool: Arc::new(BudgetPool::new(self.pool_budget)),
-            quad_backend,
-            quad_coalescer: Arc::new(Coalescer::new()),
-            cmp_backend,
-            cmp_coalescer: Arc::new(Coalescer::new()),
+            pool: BudgetPool::new(self.pool_budget),
+            backend,
+            backend_rounds: AtomicU64::new(0),
             degrade: self.degrade,
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -866,14 +731,17 @@ pub struct ServeStats {
     /// minus first occurrences — interleaving-independent, like
     /// [`Self::backend_queries`]).
     pub memo_hits: u64,
-    /// Backend `le_batch` rounds executed by the coalescer. Unlike the
-    /// query counters this is scheduling-dependent: a drain that merges
-    /// several concurrent rounds executes them as one.
+    /// Backend `le_batch` rounds: one per admitted non-empty round of
+    /// any request. Deterministic for a given request set when the pool
+    /// refuses nothing and no deadline cuts a request short: each
+    /// request's rounds are then those of its solo run, at any worker
+    /// count. (Servers that group-committed concurrent rounds counted
+    /// one per merged batch here, so at three or more workers the
+    /// figure was lower and varied run to run.)
     pub backend_rounds: u64,
-    /// Backend rounds that combined two or more concurrent requests —
-    /// scheduling-dependent like [`Self::backend_rounds`]: it records
-    /// how often concurrent rounds happened to overlap, not a property
-    /// of the request set.
+    /// Always `0`: the serving plane runs each request's rounds on the
+    /// backend as they come and never merges rounds across requests.
+    /// Kept so existing readers of the field still compile.
     pub coalesced_rounds: u64,
     /// Queries reserved from the pooled budget.
     pub pool_spent: u64,
@@ -913,9 +781,9 @@ pub struct ServeStats {
 }
 
 /// The concurrent serving plane over one engine: a worker pool behind
-/// [`Server::submit`], a shared memoised backend, cross-request round
-/// coalescing, and optional pooled admission control — built from a
-/// template [`crate::Session`] via [`Server::builder`].
+/// [`Server::submit`], a shared memoised backend, and optional pooled
+/// admission control — built from a template [`crate::Session`] via
+/// [`Server::builder`].
 pub struct Server {
     shared: Arc<ServerShared>,
     /// The worker pool, behind a mutex so shutdown can be called from

@@ -2,14 +2,15 @@
 //!
 //! 1. **Served == solo.** A request through the server returns the same
 //!    answer with the same per-request query/round tallies as a solo
-//!    `Session::run` of the identical task — the shared backend memo and
-//!    cross-request coalescing change *cost distribution*, never
-//!    semantics.
+//!    `Session::run` of the identical task — the shared backend memo
+//!    changes *cost distribution*, never semantics. The backend's
+//!    query, memo-hit and round counters do not depend on the worker
+//!    count or the interleaving.
 //! 2. **Pooled admission never over-admits.** `BudgetPool` reservations
 //!    under thread contention are all-or-nothing and their sum never
 //!    exceeds the cap.
 //! 3. **Shedding, not collapse.** Pool exhaustion fails requests typed
-//!    (`BudgetExceeded`) without deadlocking the round coalescer; a full
+//!    (`BudgetExceeded`) without deadlocking the shared backend; a full
 //!    queue rejects with `Overloaded`; shutdown drains what was queued.
 //! 4. **Robust lifecycle.** `shutdown` is idempotent and safe to race
 //!    with concurrent `submit`s and other shutdowns; the pooled budget
@@ -120,6 +121,63 @@ fn served_metric_requests_match_solo_sessions() {
     );
     assert!(stats.memo_hits > 0);
     assert!(stats.backend_rounds > 0);
+}
+
+#[test]
+fn backend_counters_do_not_depend_on_worker_count() {
+    let requests = [
+        Request {
+            task: Task::Nearest { q: 3 },
+            seed: 1,
+        },
+        Request {
+            task: Task::Farthest { q: 10 },
+            seed: 2,
+        },
+        Request {
+            task: Task::KCenter { k: 4 },
+            seed: 3,
+        },
+        Request {
+            task: Task::Hierarchy {
+                linkage: Linkage::Single,
+            },
+            seed: 4,
+        },
+        Request {
+            task: Task::Nearest { q: 3 },
+            seed: 1,
+        },
+    ];
+    // One fresh engine per server, so every run starts from a cold
+    // distance cache and an empty memo. Three workers is the smallest
+    // pool in which two rounds can wait behind a running one, which is
+    // where a server that merges waiting rounds would show it.
+    let counters = |workers: usize| {
+        let server = Server::builder(metric_template(45))
+            .workers(workers)
+            .build()
+            .unwrap();
+        let handles: Vec<_> = requests
+            .iter()
+            .map(|&r| server.submit(r).unwrap())
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let stats = server.shutdown();
+        assert_eq!(stats.coalesced_rounds, 0);
+        (stats.backend_queries, stats.memo_hits, stats.backend_rounds)
+    };
+    let serial = counters(1);
+    assert!(serial.0 > 0 && serial.1 > 0 && serial.2 > 0);
+    for run in 0..5 {
+        assert_eq!(
+            counters(3),
+            serial,
+            "run {run}: (backend_queries, memo_hits, backend_rounds) at 3 workers vs 1"
+        );
+    }
 }
 
 #[test]
@@ -275,7 +333,7 @@ fn budget_pool_concurrent_reservations_never_exceed_cap() {
 fn pool_exhaustion_sheds_requests_without_deadlock() {
     // A pool far too small for four hierarchy runs: some requests must
     // fail with the *pool's* BudgetExceeded while the rest complete —
-    // and the coalescer must keep serving the survivors (a starved
+    // and the shared backend must keep serving the survivors (a starved
     // request stops submitting rounds instead of blocking one).
     let template = metric_template(36);
     let server = Server::builder(template)
