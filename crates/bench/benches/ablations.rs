@@ -1,8 +1,9 @@
-//! Ablations over the design choices DESIGN.md calls out:
+//! Ablations over the design choices where this reproduction departs from
+//! the paper or picks a constant the paper leaves open:
 //!
 //! 1. **PairwiseComp threshold** (0.3 as printed vs. majority 0.5): the
 //!    paper's 0.3 makes symmetric decisions degenerate as p -> 0.3; the
-//!    majority variant holds for every p < 1/2 (DESIGN.md §6).
+//!    majority variant holds for every p < 1/2.
 //! 2. **Max-Adv rounds `t`**: quality/queries trade-off behind the
 //!    `t = 2 log(2/delta)` choice of Theorem 3.6.
 //! 3. **Tournament arity λ**: the approximation/query trade-off of

@@ -5,7 +5,7 @@
 //!
 //! | name | shape |
 //! |---|---|
-//! | `count_max_prob_n4096` | Algorithm 12 maximum over 4096 hidden values, persistent `p = 0.2` |
+//! | `count_max_prob_n4096` | Algorithm 12 maximum over 4096 hidden values, persistent `p = 0.2`: **one configuration only** — a query guard that reports no speedup |
 //! | `neighbor_n2048` | 12 farthest + 12 nearest searches (Alg. 13/15), 128-d points, persistent `p = 0.15` |
 //! | `neighbor_d64_n2048` | 16 farthest + 16 nearest searches over 64-d points, persistent `p = 0.15` |
 //! | `slink_n512` | Algorithm 11 single-linkage hierarchy over 512 128-d points, persistent `p = 0.05` |
@@ -22,8 +22,11 @@
 //! | `sort_n1024` | full noisy sort (skeleton insertion + polish) over 1024 hidden values, persistent `p = 0.2` (PR 9): **scalar comparator loop vs `le_batch` rounds** — bit-identical outputs and query counts, the round coalescing is the measurement |
 //! | `select_n2048` | k-th selection (sample–score–narrow) over 2048 hidden values, `k = 256`, persistent `p = 0.2` (PR 9): same scalar-vs-batched contract |
 //!
-//! Each workload runs twice: a **baseline** configuration and an
-//! **optimized** configuration. Both runs draw the same seeds; the suite
+//! Each workload except `count_max_prob_*` runs twice: a **baseline**
+//! configuration and an **optimized** configuration. (`count_max_prob_*`
+//! runs once; its `optimized_wall_ms` and `speedup` are `null`,
+//! `outputs_match` says every rep returned a winner, and `detail` lists
+//! the winners' true ranks.) Both runs draw the same seeds; the suite
 //! *verifies* that outputs are bit-identical (and, where the two
 //! configurations do the same logical work, that oracle-query totals are
 //! equal) before reporting, so a speedup can never come from doing
@@ -67,7 +70,9 @@ struct WorkloadReport {
     n: usize,
     reps: usize,
     baseline_ms: f64,
-    optimized_ms: f64,
+    /// `None` for a workload with one configuration (a query guard, not
+    /// a head-to-head): it then reports no speedup.
+    optimized_ms: Option<f64>,
     queries: u64,
     /// Worker threads the optimized configuration ran on (1 = serial;
     /// the serving plane's workers otherwise).
@@ -82,12 +87,14 @@ struct WorkloadReport {
 }
 
 impl WorkloadReport {
-    fn speedup(&self) -> f64 {
-        if self.optimized_ms > 0.0 {
-            self.baseline_ms / self.optimized_ms
-        } else {
-            f64::INFINITY
-        }
+    fn speedup(&self) -> Option<f64> {
+        self.optimized_ms.map(|optimized| {
+            if optimized > 0.0 {
+                self.baseline_ms / optimized
+            } else {
+                f64::INFINITY
+            }
+        })
     }
 }
 
@@ -134,10 +141,12 @@ fn run_count_max_prob(n: usize, reps: usize) -> WorkloadReport {
     let params = ProbParams::experimental();
     let seeds = rep_seeds(0xA1, reps);
 
-    // Baseline: the serial scoring rounds.
+    // One run of the serial engine: this row is the query guard for
+    // Algorithm 12. There is no second configuration to race it against,
+    // so it reports no speedup.
     let start = Instant::now();
     let mut queries = 0u64;
-    let mut serial_winners = Vec::with_capacity(reps);
+    let mut winners = Vec::with_capacity(reps);
     for &(oracle_seed, rng_seed) in &seeds {
         let mut oracle = Counting::new(ProbValueOracle::new(values.clone(), 0.2, oracle_seed));
         let items: Vec<usize> = (0..n).collect();
@@ -148,40 +157,27 @@ fn run_count_max_prob(n: usize, reps: usize) -> WorkloadReport {
             &mut StdRng::seed_from_u64(rng_seed),
         );
         queries += oracle.queries();
-        serial_winners.push(w);
+        winners.push(w);
     }
     let baseline_ms = ms(start);
-
-    // Optimized: the same serial engine re-run — the row is the query
-    // guard for Algorithm 12 and a same-run wall-time noise reference.
-    let start = Instant::now();
-    let mut opt_queries = 0u64;
-    let mut opt_winners = Vec::with_capacity(reps);
-    for &(oracle_seed, rng_seed) in &seeds {
-        let items: Vec<usize> = (0..n).collect();
-        let mut oracle = Counting::new(ProbValueOracle::new(values.clone(), 0.2, oracle_seed));
-        let w = max_prob(
-            &items,
-            &params,
-            &mut ValueCmp::new(&mut oracle),
-            &mut StdRng::seed_from_u64(rng_seed),
-        );
-        opt_queries += oracle.queries();
-        opt_winners.push(w);
-    }
-    let optimized_ms = ms(start);
+    // The values are a permutation of `1..=n`, so a winner's true rank
+    // is `n + 1 - value`.
+    let ranks: Option<Vec<String>> = winners
+        .iter()
+        .map(|w| w.map(|w| (n + 1 - values[w] as usize).to_string()))
+        .collect();
 
     WorkloadReport {
         name: format!("count_max_prob_n{n}"),
         n,
         reps,
         baseline_ms,
-        optimized_ms,
+        optimized_ms: None,
         queries,
         threads: 1,
-        optimization: "serial rounds (re-run of the baseline engine)",
-        outputs_match: serial_winners == opt_winners && queries == opt_queries,
-        detail: None,
+        optimization: "none (single serial run: query guard)",
+        outputs_match: ranks.is_some(),
+        detail: ranks.map(|ranks| format!("winner_ranks={}", ranks.join("/"))),
     }
 }
 
@@ -242,7 +238,7 @@ fn run_neighbor(
         n,
         reps: searches,
         baseline_ms,
-        optimized_ms,
+        optimized_ms: Some(optimized_ms),
         queries,
         threads: 1,
         optimization: "DistCache: touched-pair distance memoisation behind batched oracle rounds",
@@ -278,7 +274,7 @@ fn run_slink(n: usize) -> WorkloadReport {
         n,
         reps: 1,
         baseline_ms,
-        optimized_ms,
+        optimized_ms: Some(optimized_ms),
         queries,
         threads: 1,
         optimization: "full-grid materialisation (both configs run the incremental merge plane)",
@@ -326,7 +322,7 @@ fn run_slink_scaffold(n: usize) -> WorkloadReport {
         n,
         reps: 1,
         baseline_ms,
-        optimized_ms,
+        optimized_ms: Some(optimized_ms),
         // Report the *optimized* tally (the number worth guarding); the
         // from-scratch baseline deliberately issues more — the saving is
         // the PR 10 optimization.
@@ -381,7 +377,7 @@ fn run_slink_complete(n: usize) -> WorkloadReport {
         n,
         reps: 1,
         baseline_ms,
-        optimized_ms,
+        optimized_ms: Some(optimized_ms),
         // Report the *optimized* tally (the number worth guarding); the
         // from-scratch baseline deliberately issues more — the saving is
         // the optimization. outputs_match is the decision-identity check.
@@ -453,7 +449,7 @@ fn run_slink_crowd(n: usize) -> WorkloadReport {
         n,
         reps: 1,
         baseline_ms,
-        optimized_ms,
+        optimized_ms: Some(optimized_ms),
         queries,
         threads: 1,
         optimization: "crowd le_batch override: per-round distance + committee-answer dedup",
@@ -515,7 +511,7 @@ fn run_kcenter(n: usize, k: usize, reps: usize) -> WorkloadReport {
         n,
         reps,
         baseline_ms,
-        optimized_ms,
+        optimized_ms: Some(optimized_ms),
         queries,
         threads: 1,
         optimization: "DistCache shared across reps: touched (point, center) pairs only",
@@ -591,7 +587,7 @@ fn run_session_kcenter(n: usize, k: usize, reps: usize) -> WorkloadReport {
         n,
         reps,
         baseline_ms,
-        optimized_ms,
+        optimized_ms: Some(optimized_ms),
         queries,
         threads: 1,
         optimization: "Session front door over a shared Engine (zero-overhead facade check)",
@@ -711,7 +707,7 @@ fn run_serve_mixed(n: usize, batches: usize) -> WorkloadReport {
         n,
         reps: requests.len(),
         baseline_ms,
-        optimized_ms,
+        optimized_ms: Some(optimized_ms),
         queries,
         threads: workers,
         optimization: if workers > 1 {
@@ -830,7 +826,7 @@ fn run_serve_faulty(n: usize, batches: usize) -> WorkloadReport {
         n,
         reps: requests.len(),
         baseline_ms,
-        optimized_ms,
+        optimized_ms: Some(optimized_ms),
         queries,
         threads: host_logical_cores().min(4),
         optimization:
@@ -943,7 +939,7 @@ fn run_adaptive_noise(n: usize, reps: usize) -> WorkloadReport {
         n,
         reps,
         baseline_ms,
-        optimized_ms,
+        optimized_ms: Some(optimized_ms),
         queries,
         threads: 1,
         optimization:
@@ -1027,7 +1023,7 @@ fn run_sort(n: usize, reps: usize) -> WorkloadReport {
         n,
         reps,
         baseline_ms,
-        optimized_ms,
+        optimized_ms: Some(optimized_ms),
         queries,
         threads: 1,
         optimization: "wave binary-search steps + polish scoring coalesced into le_batch rounds",
@@ -1086,13 +1082,19 @@ fn run_select(n: usize, reps: usize) -> WorkloadReport {
         n,
         reps,
         baseline_ms,
-        optimized_ms,
+        optimized_ms: Some(optimized_ms),
         queries,
         threads: 1,
         optimization: "sample scoring + resolving scan coalesced into le_batch rounds",
         outputs_match: scalar_picks == opt_picks && queries == opt_queries,
         detail: Some(format!("k={k}")),
     }
+}
+
+/// A wall-time figure for the JSON: three decimals, or `null` when the
+/// workload has no optimized configuration.
+fn json_ms(ms: Option<f64>) -> String {
+    ms.map_or_else(|| "null".into(), |ms| format!("{ms:.3}"))
 }
 
 fn write_json(path: &str, mode: &str, reports: &[WorkloadReport]) -> std::io::Result<()> {
@@ -1124,10 +1126,10 @@ fn write_json(path: &str, mode: &str, reports: &[WorkloadReport]) -> std::io::Re
             r.baseline_ms
         ));
         s.push_str(&format!(
-            "      \"optimized_wall_ms\": {:.3},\n",
-            r.optimized_ms
+            "      \"optimized_wall_ms\": {},\n",
+            json_ms(r.optimized_ms)
         ));
-        s.push_str(&format!("      \"speedup\": {:.3},\n", r.speedup()));
+        s.push_str(&format!("      \"speedup\": {},\n", json_ms(r.speedup())));
         s.push_str(&format!("      \"queries\": {},\n", r.queries));
         s.push_str(&format!(
             "      \"optimization\": \"{}\",\n",
@@ -1291,16 +1293,18 @@ fn main() {
 
     let mut ok = true;
     for r in &reports {
+        let optimized = r.optimized_ms.map_or("-".into(), |ms| format!("{ms:.2}"));
+        let speedup = r.speedup().map_or("-".into(), |x| format!("{x:.2}"));
         eprintln!(
-            "  {:22} n={:5} reps={:2} threads={:2}  baseline {:9.2} ms  optimized {:9.2} ms  \
-             speedup {:5.2}x  queries {:>10}  match={}",
+            "  {:22} n={:5} reps={:2} threads={:2}  baseline {:9.2} ms  optimized {:>9} ms  \
+             speedup {:>5}x  queries {:>10}  match={}",
             r.name,
             r.n,
             r.reps,
             r.threads,
             r.baseline_ms,
-            r.optimized_ms,
-            r.speedup(),
+            optimized,
+            speedup,
             r.queries,
             r.outputs_match
         );

@@ -1,7 +1,7 @@
 //! # nco-bench — shared harness for the table/figure benches
 //!
 //! Every target under `benches/` regenerates one table or figure of the
-//! paper (see DESIGN.md §5 for the index) and prints the same rows/series
+//! paper (the target's file name says which) and prints the same rows/series
 //! the paper reports. Absolute numbers differ (our substrate is a
 //! simulator at a reduced scale); the *shape* — who wins, by roughly what
 //! factor, where crossovers fall — is the reproduction target, and

@@ -118,38 +118,6 @@ impl<O: QuadrupletOracle> Comparator<usize> for DistToQueryCmp<'_, O> {
     }
 }
 
-/// Items are unordered record pairs, keys are their pairwise distances —
-/// used by hierarchical clustering's closest-pair searches (Section 5).
-#[derive(Debug)]
-pub struct PairDistCmp<'a, O> {
-    oracle: &'a mut O,
-}
-
-impl<'a, O: QuadrupletOracle> PairDistCmp<'a, O> {
-    /// Wraps a quadruplet oracle.
-    pub fn new(oracle: &'a mut O) -> Self {
-        Self { oracle }
-    }
-}
-
-impl<O: QuadrupletOracle> Comparator<(usize, usize)> for PairDistCmp<'_, O> {
-    fn le(&mut self, a: (usize, usize), b: (usize, usize)) -> bool {
-        self.oracle.le(a.0, a.1, b.0, b.1)
-    }
-
-    fn le_round(&mut self, round: &[((usize, usize), (usize, usize))], out: &mut Vec<bool>) {
-        let queries: Vec<[usize; 4]> = round
-            .iter()
-            .map(|&((a0, a1), (b0, b1))| [a0, a1, b0, b1])
-            .collect();
-        self.oracle.le_batch(&queries, out);
-    }
-
-    fn doomed(&self) -> bool {
-        self.oracle.doomed()
-    }
-}
-
 /// Order-reversing adapter: turns any max-finding engine into a min-finding
 /// one (the paper's "minimum is maximum with Yes-counts" remark, §3.2).
 #[derive(Debug)]
@@ -213,15 +181,6 @@ mod tests {
         let mut c = DistToQueryCmp::new(&mut o, 0);
         assert!(c.le(1, 2)); // d(0,1)=1 <= d(0,2)=5
         assert!(!c.le(2, 1));
-    }
-
-    #[test]
-    fn pair_dist_cmp_compares_pairs() {
-        let m = EuclideanMetric::from_points(&[vec![0.0], vec![1.0], vec![5.0]]);
-        let mut o = TrueQuadOracle::new(m);
-        let mut c = PairDistCmp::new(&mut o);
-        assert!(c.le((0, 1), (1, 2)));
-        assert!(!c.le((0, 2), (0, 1)));
     }
 
     #[test]

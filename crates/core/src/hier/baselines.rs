@@ -7,8 +7,8 @@
 //!   paper. [`Tour2Outcome`] models that DNF behaviour with a query budget.
 //! * [`hier_samp`] — per merge, Count-Max-minimum over a random sample of
 //!   `ceil(sqrt(#active))` candidate cluster pairs (the `Samp` recipe of
-//!   Section 6.1 adapted to merges, keeping the total at O(n^2); see
-//!   DESIGN.md §6.5 for the interpretation).
+//!   Section 6.1, which the paper states for a single search, adapted to
+//!   merges so that the total stays at O(n^2)).
 //!
 //! Both reuse the adjacency/representative-pair substrate of Algorithm 11,
 //! so their merge bookkeeping is identical to the main algorithm — only

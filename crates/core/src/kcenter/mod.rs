@@ -21,20 +21,15 @@
 //!   the paper's `TDist` evaluation reference.
 //! * [`baselines`] — `Tour2` and `Samp` k-center plus the `Oq`
 //!   same-cluster-query clustering of Table 1.
-//! * [`refine_kcenter`] — Lloyd-style oracle-only local refinement
-//!   (re-center at approximate 1-centers + MCount re-assignment), a step
-//!   toward the paper's Section 7 future work.
 
 mod adversarial;
 pub mod baselines;
 mod gonzalez;
 mod probabilistic;
-mod refine;
 
 pub use adversarial::{kcenter_adv, kcenter_adv_with_progress, KCenterAdvParams};
 pub use gonzalez::gonzalez;
 pub use probabilistic::{kcenter_prob, kcenter_prob_with_progress, KCenterProbParams};
-pub use refine::{refine_kcenter, RefineParams};
 
 /// A k-center clustering: chosen centers and a per-point assignment.
 #[derive(Debug, Clone, PartialEq, Eq)]

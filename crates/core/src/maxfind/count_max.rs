@@ -10,7 +10,7 @@
 //! paper's ordered formulation asks both `O(u,v)` and `O(v,u)`, but every
 //! proof only uses out-of-band correctness (adversarial) or per-pair
 //! independence (probabilistic), both of which are preserved; the constant
-//! in the query count halves (documented deviation, DESIGN.md §6.2).
+//! in the query count halves (a deliberate deviation from the paper).
 
 use crate::comparator::{Comparator, Rev};
 

@@ -28,7 +28,7 @@ pub const PAIRWISE_THRESHOLD: f64 = 0.3;
 /// `p|S|` symmetrically for **every** `p < 1/2`, matching the robustness
 /// the paper's own experiments exhibit at `p = 0.3` (Fig. 8b). This is the
 /// default for the symmetric comparators; the ablation bench sweeps the
-/// trade-off. See DESIGN.md §6.
+/// trade-off.
 pub const MAJORITY_THRESHOLD: f64 = 0.5;
 
 /// Algorithm 5: returns `true` ("Yes") when the vote of the core deems

@@ -5,9 +5,8 @@
 //! (7K products with a catalog hierarchy), `monuments` (100 photos of 10
 //! landmarks) and `dblp` (1.8M paper titles with word2vec embeddings). None
 //! of those can be redistributed here, and the crowd answers that define
-//! their oracles are gone — so, per the reproduction plan (DESIGN.md §3.3),
-//! each is replaced by a **seeded generator that preserves the property the
-//! paper's analysis leans on**:
+//! their oracles are gone — so each is replaced by a **seeded generator
+//! that preserves the property the paper's analysis leans on**:
 //!
 //! * [`cities`] — a *skewed* 2-D distance distribution with a near-unique
 //!   farthest point (why `Samp` fails and `Tour2` does well there);

@@ -14,7 +14,7 @@ use nco_metric::Metric;
 ///
 /// # Panics
 /// Panics if the dendrogram refers to records outside the metric.
-pub fn merge_linkage_distances<M: Metric>(
+fn merge_linkage_distances<M: Metric>(
     dendrogram: &Dendrogram,
     metric: &M,
     linkage: Linkage,

@@ -12,13 +12,6 @@ pub fn max_rank(values: &[f64], chosen: usize) -> usize {
     values.iter().filter(|&&x| x > v).count() + 1
 }
 
-/// 1-based rank of `chosen` in the **non-decreasing** order of `values`
-/// (rank 1 = a true minimum). Ties resolve in `chosen`'s favour.
-pub fn min_rank(values: &[f64], chosen: usize) -> usize {
-    let v = values[chosen];
-    values.iter().filter(|&&x| x < v).count() + 1
-}
-
 /// Approximation ratio of a returned maximum: `max(values) / values[chosen]`
 /// (`>= 1`, exactly 1 when the true maximum was found).
 ///
@@ -104,15 +97,12 @@ mod tests {
         assert_eq!(max_rank(&values, 1), 1);
         assert_eq!(max_rank(&values, 3), 2);
         assert_eq!(max_rank(&values, 2), 4);
-        assert_eq!(min_rank(&values, 2), 1);
-        assert_eq!(min_rank(&values, 1), 4);
     }
 
     #[test]
     fn ties_favor_the_chosen() {
         let values = [5.0, 5.0, 5.0];
         assert_eq!(max_rank(&values, 2), 1);
-        assert_eq!(min_rank(&values, 0), 1);
     }
 
     #[test]

@@ -29,12 +29,6 @@ impl Table {
         self
     }
 
-    /// Convenience for building a row out of display-able cells.
-    pub fn row_of(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Self {
-        let rendered: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&rendered)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -115,13 +109,6 @@ mod tests {
         let mut t = Table::new("", &["x", "y"]);
         t.row(&["1".into(), "2".into()]);
         assert_eq!(t.to_csv(), "x,y\n1,2\n");
-    }
-
-    #[test]
-    fn row_of_renders_display() {
-        let mut t = Table::new("", &["k", "objective"]);
-        t.row_of(&[&10usize, &3.25f64]);
-        assert_eq!(t.to_csv(), "k,objective\n10,3.25\n");
     }
 
     #[test]

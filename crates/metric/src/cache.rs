@@ -38,6 +38,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// bits can never collide with this all-ones NaN.
 const UNSET: u64 = u64::MAX;
 
+/// Largest `n` worth a [`DistCache`]: the table pays its
+/// `n (n - 1) / 2 * 8` bytes up front (16 384 points ≈ 1 GiB), so past
+/// this point callers keep the metric lazy rather than trade a slowdown
+/// for an allocation that may not fit at all.
+pub const CACHE_TAKEOVER_MAX_POINTS: usize = 16_384;
+
 /// A lock-free condensed-triangle memo table for pairwise distances.
 pub struct DistCache {
     n: usize,

@@ -33,42 +33,27 @@ pub fn mix(seed: u64, words: &[u64]) -> u64 {
     h
 }
 
-/// Two-word specialisation of [`mix`]: `mix2(s, a, b) == mix(s, &[a, b])`
-/// bit for bit, with the slice loop flattened out — the persistent
-/// comparison-oracle coin is one of the hottest call sites in the
-/// workspace.
-#[inline]
-pub fn mix2(seed: u64, w0: u64, w1: u64) -> u64 {
-    let h = splitmix64(seed ^ 0x6a09_e667_f3bc_c909);
-    splitmix64(splitmix64(h ^ w0) ^ w1)
-}
-
-/// Four-word specialisation of [`mix`] (`== mix(s, &[a, b, c, d])`), for
-/// the persistent quadruplet-oracle coin.
-#[inline]
-pub fn mix4(seed: u64, w0: u64, w1: u64, w2: u64, w3: u64) -> u64 {
-    let h = splitmix64(seed ^ 0x6a09_e667_f3bc_c909);
-    splitmix64(splitmix64(splitmix64(splitmix64(h ^ w0) ^ w1) ^ w2) ^ w3)
-}
-
 /// The seed-absorption round shared by every mixer: precompute it once
 /// per oracle ([`mix_seed`]) and feed [`mix2_from`] / [`mix4_from`] on the
-/// per-query hot path — digests are bit-identical to [`mix2`] / [`mix4`],
-/// one splitmix round cheaper per query.
+/// per-query hot path — digests are bit-identical to [`mix`], one
+/// splitmix round cheaper per query.
 #[inline]
 pub fn mix_seed(seed: u64) -> u64 {
     splitmix64(seed ^ 0x6a09_e667_f3bc_c909)
 }
 
-/// [`mix2`] resuming from a precomputed [`mix_seed`] digest:
-/// `mix2_from(mix_seed(s), a, b) == mix2(s, a, b)` bit for bit.
+/// Two-word [`mix`] resuming from a precomputed [`mix_seed`] digest:
+/// `mix2_from(mix_seed(s), a, b) == mix(s, &[a, b])` bit for bit, with the
+/// slice loop flattened out — the persistent comparison-oracle coin is one
+/// of the hottest call sites in the workspace.
 #[inline]
 pub fn mix2_from(h0: u64, w0: u64, w1: u64) -> u64 {
     splitmix64(splitmix64(h0 ^ w0) ^ w1)
 }
 
-/// [`mix4`] resuming from a precomputed [`mix_seed`] digest:
-/// `mix4_from(mix_seed(s), a, b, c, d) == mix4(s, a, b, c, d)` bit for bit.
+/// Four-word [`mix`] resuming from a precomputed [`mix_seed`] digest, for
+/// the persistent quadruplet-oracle coin:
+/// `mix4_from(mix_seed(s), a, b, c, d) == mix(s, &[a, b, c, d])` bit for bit.
 #[inline]
 pub fn mix4_from(h0: u64, w0: u64, w1: u64, w2: u64, w3: u64) -> u64 {
     splitmix64(splitmix64(splitmix64(splitmix64(h0 ^ w0) ^ w1) ^ w2) ^ w3)
@@ -175,11 +160,9 @@ mod tests {
         for seed in [0u64, 7, 0xDEAD_BEEF] {
             for w in 0..50u64 {
                 let (a, b, c, d) = (w, w.wrapping_mul(3) ^ 5, !w, w << 7);
-                assert_eq!(mix2(seed, a, b), mix(seed, &[a, b]));
-                assert_eq!(mix4(seed, a, b, c, d), mix(seed, &[a, b, c, d]));
                 let h0 = mix_seed(seed);
-                assert_eq!(mix2_from(h0, a, b), mix2(seed, a, b));
-                assert_eq!(mix4_from(h0, a, b, c, d), mix4(seed, a, b, c, d));
+                assert_eq!(mix2_from(h0, a, b), mix(seed, &[a, b]));
+                assert_eq!(mix4_from(h0, a, b, c, d), mix(seed, &[a, b, c, d]));
             }
         }
     }

@@ -20,7 +20,7 @@
 //!   the six-image example of Section 1 (Example 1.1).
 //!
 //! [`stats`] provides exact (ground-truth) maximum / farthest / nearest
-//! helpers and distance histograms used by evaluation and by the Figure 4
+//! helpers and the distance buckets used by evaluation and by the Figure 4
 //! user-study harness. [`hashing`] hosts the deterministic splitmix64 mixer
 //! that both the jittered metrics and the persistent-noise oracles rely on.
 
@@ -31,12 +31,9 @@ pub mod matrix;
 pub mod stats;
 pub mod tree;
 
-pub use cache::{CachedMetric, DistCache};
+pub use cache::{CachedMetric, DistCache, CACHE_TAKEOVER_MAX_POINTS};
 pub use euclidean::EuclideanMetric;
-pub use matrix::{
-    materialize, materialize_if_small, MaterializedMetric, MatrixMetric, SquareMetric,
-    CACHE_TAKEOVER_MAX_POINTS, DEFAULT_MATERIALIZE_CUTOFF,
-};
+pub use matrix::{MatrixMetric, SquareMetric};
 pub use tree::{TreeMetric, TreeMetricBuilder};
 
 /// A finite metric space over points indexed `0..len()`.

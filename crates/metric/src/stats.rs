@@ -1,4 +1,4 @@
-//! Ground-truth helpers: exact extrema, objectives, and distance histograms.
+//! Ground-truth helpers: exact extrema, objectives, and distance buckets.
 //!
 //! Everything in this module reads true distances, so it is used only by
 //! (a) evaluation code that scores what the noisy algorithms returned, and
@@ -141,29 +141,6 @@ impl Buckets {
         // Equal-width: direct computation, clamped for fp safety.
         ((d / max * count as f64) as usize).min(count - 1)
     }
-
-    /// `(lo, hi)` edges of bucket `b`.
-    pub fn edges_of(&self, b: usize) -> (f64, f64) {
-        (self.edges[b], self.edges[b + 1])
-    }
-
-    /// Midpoint of bucket `b`.
-    pub fn mid_of(&self, b: usize) -> f64 {
-        let (lo, hi) = self.edges_of(b);
-        (lo + hi) / 2.0
-    }
-}
-
-/// Histogram of all pairwise distances into `buckets`.
-pub fn distance_histogram<M: Metric>(metric: &M, buckets: &Buckets) -> Vec<usize> {
-    let mut hist = vec![0usize; buckets.count()];
-    let n = metric.len();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            hist[buckets.index_of(metric.dist(i, j))] += 1;
-        }
-    }
-    hist
 }
 
 /// A cheap skewness proxy: the ratio of the 99th to the 50th percentile of a
@@ -247,19 +224,6 @@ mod tests {
         assert_eq!(b.index_of(9.999), 4);
         assert_eq!(b.index_of(10.0), 4);
         assert_eq!(b.index_of(99.0), 4);
-        assert_eq!(b.edges_of(1), (2.0, 4.0));
-        assert_eq!(b.mid_of(0), 1.0);
-    }
-
-    #[test]
-    fn histogram_counts_all_pairs() {
-        let m = line_metric();
-        let b = Buckets::equal_width(10.0, 2);
-        let h = distance_histogram(&m, &b);
-        assert_eq!(h.iter().sum::<usize>(), 6);
-        // Pairs (0,1)=1, (0,2)=2, (1,2)=1 in bucket 0; (0,3)=10, (1,3)=9,
-        // (2,3)=8 in bucket 1.
-        assert_eq!(h, vec![3, 3]);
     }
 
     #[test]

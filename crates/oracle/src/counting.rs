@@ -36,11 +36,6 @@ impl<O> Counting<O> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped oracle (does not count as a query).
-    pub fn inner_mut(&mut self) -> &mut O {
-        &mut self.inner
-    }
-
     /// Unwraps the oracle.
     pub fn into_inner(self) -> O {
         self.inner

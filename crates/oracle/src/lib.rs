@@ -17,9 +17,8 @@
 //!   always correct; the `mu = 0` / `p = 0` degenerate case;
 //! * **adversarial** ([`adversarial`]) — answers may be arbitrarily wrong
 //!   whenever the two compared quantities are within a multiplicative
-//!   `(1 + mu)` band (an additive-band variant lives in [`additive`]); the
-//!   in-band behaviour is delegated to a pluggable, possibly stateful
-//!   [`adversarial::Adversary`] strategy;
+//!   `(1 + mu)` band; the in-band behaviour is delegated to a pluggable,
+//!   possibly stateful [`adversarial::Adversary`] strategy;
 //! * **probabilistic persistent** ([`probabilistic`]) — each distinct query
 //!   is wrong with probability `p < 1/2`, and *re-asking it returns the same
 //!   answer*, so repetition cannot boost confidence.
@@ -34,7 +33,6 @@
 //! budget on top of the meter (the enforcement layer behind the facade's
 //! `Session` front door).
 
-pub mod additive;
 pub mod adversarial;
 pub mod budget;
 pub mod cluster_query;

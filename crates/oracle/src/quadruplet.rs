@@ -20,11 +20,6 @@ impl<M: Metric> TrueQuadOracle<M> {
     pub fn metric(&self) -> &M {
         &self.metric
     }
-
-    /// Consumes the oracle, returning the metric.
-    pub fn into_metric(self) -> M {
-        self.metric
-    }
 }
 
 impl<M: Metric> QuadrupletOracle for TrueQuadOracle<M> {

@@ -14,9 +14,8 @@
 //! * [`scenario`] — seeded builders for value instances ([`ValueScenario`])
 //!   and metric instances ([`MetricScenario`]) with one-line constructors
 //!   for every noise model (exact / adversarial / probabilistic / crowd);
-//! * [`counting`] — [`CountingCmp`], a [`nco_core::Comparator`]-level call counter
-//!   (complementing `nco_oracle::Counting`, re-exported here), so tests can
-//!   budget query complexity at either layer;
+//! * [`Counting`] — `nco_oracle`'s query meter, re-exported so tests can
+//!   budget query complexity;
 //! * [`check`] — `assert_guarantee`-style helpers that panic with the
 //!   measured quantity, the bound and the scenario seed, plus
 //!   [`success_rate`] for "holds in >= 1 - delta of seeded trials" checks
@@ -29,13 +28,11 @@
 #![warn(missing_docs)]
 
 pub mod check;
-pub mod counting;
 pub mod scenario;
 
 pub use check::{
     assert_deterministic, assert_kcenter_constant_factor, assert_max_within_factor,
     assert_rank_at_most, success_rate,
 };
-pub use counting::CountingCmp;
 pub use nco_oracle::Counting;
 pub use scenario::{MetricScenario, ValueScenario};

@@ -4,8 +4,7 @@
 use nco_data::Dataset;
 use nco_metric::{EuclideanMetric, Metric};
 use nco_oracle::adversarial::{
-    AdversarialQuadOracle, AdversarialValueOracle, Adversary, InvertAdversary,
-    PersistentRandomAdversary,
+    AdversarialQuadOracle, AdversarialValueOracle, InvertAdversary, PersistentRandomAdversary,
 };
 use nco_oracle::crowd::{AccuracyProfile, CrowdQuadOracle};
 use nco_oracle::probabilistic::{ProbQuadOracle, ProbValueOracle};
@@ -101,15 +100,6 @@ impl ValueScenario {
             mu,
             PersistentRandomAdversary::new(seed),
         )
-    }
-
-    /// Custom in-band strategy.
-    pub fn adversarial_oracle_with<A: Adversary>(
-        &self,
-        mu: f64,
-        adversary: A,
-    ) -> AdversarialValueOracle<A> {
-        AdversarialValueOracle::new(self.values.clone(), mu, adversary)
     }
 
     /// Probabilistic persistent oracle: every distinct query is wrong with

@@ -65,7 +65,7 @@ use nco_core::order::{
     sort_prob_with_progress, OrderAdvParams, OrderProbParams,
 };
 use nco_data::{AnyMetric, Dataset};
-use nco_metric::{CachedMetric, DistCache, EuclideanMetric, Metric};
+use nco_metric::{CachedMetric, DistCache, EuclideanMetric, Metric, CACHE_TAKEOVER_MAX_POINTS};
 use nco_oracle::adversarial::{AdversarialQuadOracle, AdversarialValueOracle, InvertAdversary};
 use nco_oracle::budget::Budgeted;
 use nco_oracle::crowd::{AccuracyProfile, CrowdQuadOracle, CrowdValueOracle};
@@ -218,8 +218,14 @@ impl Engine {
     /// hierarchy sessions). `cache_distances` wraps the metric in a
     /// shared [`DistCache`] so each distinct pair distance is evaluated
     /// at most once across every session on this engine.
+    ///
+    /// The cache allocates its `n (n - 1) / 2 * 8`-byte table up front,
+    /// so it is built only up to [`CACHE_TAKEOVER_MAX_POINTS`] points
+    /// (16 384, ≈ 1 GiB); above that the metric stays lazy and
+    /// [`Self::cache_entries`] reads `None`. The cache is exact, so
+    /// answers, queries and rounds are the same either way.
     pub fn from_metric(metric: AnyMetric, cache_distances: bool) -> Arc<Self> {
-        let store = if cache_distances {
+        let store = if cache_distances && metric.len() <= CACHE_TAKEOVER_MAX_POINTS {
             MetricStore::Cached(CachedMetric::new(metric))
         } else {
             MetricStore::Plain(metric)
@@ -473,7 +479,9 @@ impl SessionBuilder {
     }
 
     /// Memoise lazy distance evaluations in an engine-level
-    /// [`DistCache`] shared across all sessions on the engine.
+    /// [`DistCache`] shared across all sessions on the engine. Ignored
+    /// above [`CACHE_TAKEOVER_MAX_POINTS`] points, where the table
+    /// would not fit (see [`Engine::from_metric`]).
     pub fn cache_distances(mut self, on: bool) -> Self {
         self.cache_distances = on;
         self

@@ -170,6 +170,31 @@ fn sequential_runs_cache_added_sums_to_engine_total() {
     assert_eq!(added_total, engine.cache_entries().unwrap());
 }
 
+/// `cache_distances(true)` past `CACHE_TAKEOVER_MAX_POINTS` keeps the
+/// metric lazy instead of allocating the ≈ 1 GiB table up front, and the
+/// run still answers exactly.
+#[test]
+fn past_the_cache_bound_the_metric_stays_lazy() {
+    use noisy_oracle::data::AnyMetric;
+    use noisy_oracle::metric::CACHE_TAKEOVER_MAX_POINTS;
+    use noisy_oracle::{Noise, Session, Task};
+
+    let points: Vec<Vec<f64>> = (0..=CACHE_TAKEOVER_MAX_POINTS)
+        .map(|i| vec![i as f64])
+        .collect();
+    let session = Session::builder()
+        .metric(AnyMetric::Euclidean(EuclideanMetric::from_points(&points)))
+        .noise(Noise::Exact)
+        .cache_distances(true)
+        .build()
+        .unwrap();
+    assert_eq!(session.engine().n(), CACHE_TAKEOVER_MAX_POINTS + 1);
+    assert_eq!(session.engine().cache_entries(), None);
+    let outcome = session.run(Task::Nearest { q: 0 }).unwrap();
+    assert_eq!(outcome.answer.item(), Some(1));
+    assert_eq!(outcome.report.cache_entries, None);
+}
+
 #[test]
 fn min_and_rev_are_consistent() {
     let metric = EuclideanMetric::from_points(&(0..40).map(|i| vec![i as f64]).collect::<Vec<_>>());
